@@ -1,19 +1,26 @@
 // Google-benchmark microbenchmarks for the library's hot paths: the
 // planner (runs on every replan), the BER evaluators (every packet), the
-// waveform Monte-Carlo, CRC, the transient circuit solver, and the
-// observability overhead contract.
+// waveform Monte-Carlo, CRC, the transient circuit solver, the shared
+// medium's carrier sense, and the observability overhead contract.
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <vector>
 
 #include "backends/backends.hpp"
 #include "core/lifetime_sim.hpp"
 #include "core/offload.hpp"
 #include "circuits/charge_pump.hpp"
 #include "mac/crc.hpp"
+#include "net/medium.hpp"
 #include "net/network_sim.hpp"
+#include "net/topology.hpp"
 #include "obs/obs.hpp"
 #include "phy/ber.hpp"
 #include "phy/link_budget.hpp"
 #include "phy/waveform.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -188,5 +195,80 @@ void BM_NetFlightRecorder(benchmark::State& state) {
 #endif
 }
 BENCHMARK(BM_NetFlightRecorder)->Arg(0)->Arg(1)->Arg(2);
+
+// Shared-medium carrier sense on the 10k-tag 2 m star placement with
+// Arg() tags on the air at the backscatter interferer level (the dense
+// CSMA star runs ~31). Each iteration is one CCA at the next of 4096
+// pseudo-random listening tags against the braidio -60 dBm threshold.
+class StarMedium {
+ public:
+  explicit StarMedium(std::size_t active)
+      : topo_(make_topology()), medium_(net::MediumConfig{}, topo_.positions) {
+    const net::NetConfig defaults;
+    const double reflected_dbm =
+        defaults.medium.tx_power_dbm - defaults.backscatter_loss_db;
+    const std::size_t tags = topo_.size() - 1;
+    for (std::size_t k = 0; k < active; ++k) {
+      const auto tx = static_cast<std::uint32_t>(1 + k * tags / active);
+      medium_.begin(tx, 0, 1.0, reflected_dbm);
+    }
+    util::Rng rng(7);
+    listeners_.resize(4096);
+    for (auto& n : listeners_) {
+      n = static_cast<std::uint32_t>(rng.uniform_int(1, tags));
+    }
+  }
+
+  net::SharedMedium& medium() { return medium_; }
+  std::uint32_t listener(std::size_t i) const {
+    return listeners_[i % listeners_.size()];
+  }
+
+  static constexpr double kThresholdDbm = -60.0;
+
+ private:
+  static net::Topology make_topology() {
+    net::TopologyConfig config;
+    config.nodes = 10000;
+    config.extent_m = 2.0;
+    util::Rng rng(1);
+    return net::build_topology(config, rng);
+  }
+
+  net::Topology topo_;
+  net::SharedMedium medium_;
+  std::vector<std::uint32_t> listeners_;
+};
+
+// The exact path: one pow per active transmitter, then the dBm compare.
+void BM_MediumAmbient(benchmark::State& state) {
+  StarMedium star(static_cast<std::size_t>(state.range(0)));
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const std::uint32_t n = star.listener(i++);
+    benchmark::DoNotOptimize(star.medium().ambient_dbm(n, n) <
+                             StarMedium::kThresholdDbm);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MediumAmbient)->Arg(8)->Arg(32)->Arg(64);
+
+// The bounded verdict NetworkSimulator::sense_clear uses; exact_share is
+// the fraction of verdicts that still needed the exact sum.
+void BM_MediumCcaVerdict(benchmark::State& state) {
+  StarMedium star(static_cast<std::size_t>(state.range(0)));
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const std::uint32_t n = star.listener(i++);
+    benchmark::DoNotOptimize(
+        star.medium().ambient_below(n, n, StarMedium::kThresholdDbm));
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["exact_share"] =
+      static_cast<double>(star.medium().cca_exact_fallbacks()) /
+      static_cast<double>(std::max<benchmark::IterationCount>(
+          state.iterations(), 1));
+}
+BENCHMARK(BM_MediumCcaVerdict)->Arg(8)->Arg(32)->Arg(64);
 
 }  // namespace

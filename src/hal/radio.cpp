@@ -79,11 +79,15 @@ bool IRadio::listen(util::Seconds window) {
 }
 
 bool IRadio::cca_clear(util::Dbm ambient) const {
+  return ambient.value() < cca_threshold().value();
+}
+
+util::Dbm IRadio::cca_threshold() const {
   const auto& c = caps();
   if (!c.can_cca) {
     throw std::logic_error("hal::IRadio::cca_clear: driver declares no CCA");
   }
-  return ambient.value() < c.cca_threshold_dbm;
+  return util::Dbm(c.cca_threshold_dbm);
 }
 
 StandardRadio::StandardRadio(std::string name, std::uint8_t address,

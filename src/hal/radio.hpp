@@ -160,6 +160,11 @@ class IRadio {
   /// Verdict only — the listen window itself is charged via sense().
   bool cca_clear(util::Dbm ambient) const;
 
+  /// The declared CCA threshold: cca_clear(a) is exactly a < threshold,
+  /// for callers that decide the comparison themselves (the network
+  /// medium's bounded CCA). Throws std::logic_error like cca_clear.
+  util::Dbm cca_threshold() const;
+
   /// Spend one carrier-sense window: drains cca_sense_power x window and
   /// advances the clock without leaving the current state (the sense path
   /// is a detector in front of the demodulator, not a mode switch).

@@ -211,13 +211,16 @@ double NetworkSimulator::control_airtime_s(std::uint32_t i) const {
 bool NetworkSimulator::sense_clear(std::uint32_t i) {
   Node& node = nodes_[i];
   // Sampled before the (charged) listen so the verdict reflects the
-  // medium at the attempt instant, as before the listen was billed.
-  const double ambient = medium_->ambient_dbm(i, i);
+  // medium at the attempt instant, as before the listen was billed. The
+  // verdict is IRadio::cca_clear's, ambient < threshold, decided by the
+  // medium's bounded comparison.
+  const bool clear = medium_->ambient_below(
+      i, i, node.radio().cca_threshold().value());
   if (!node.radio().sense(util::Seconds(config_.csma.cca_window_s))) {
     note_death(node);
     return false;
   }
-  return node.radio().cca_clear(util::Dbm(ambient));
+  return clear;
 }
 
 bool NetworkSimulator::register_exchange(std::uint32_t i) {

@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <numeric>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -146,6 +150,84 @@ TEST(SharedMedium, PathLossFollowsTheLogDistanceModel) {
               1e-9);
   // The 1 cm floor keeps colocated nodes finite.
   EXPECT_EQ(medium.path_loss_db(0.0), medium.path_loss_db(0.01));
+}
+
+// ambient_below() is a faster route to the CCA verdict ambient_dbm() <
+// threshold and must never disagree with it: randomized placements with
+// colocated pairs under the 1 cm floor and nodes moved past the gain
+// table's range after construction, active sets of 0-64, exclude_tx both
+// the node itself and another node, and thresholds at the exact ambient,
+// one ulp either side of it, a random offset from it and the -60 dBm CCA
+// default.
+TEST(SharedMedium, AmbientBelowMatchesTheExactVerdict) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double extents_m[] = {0.05, 2.0, 20.0, 300.0};
+  const double exponents[] = {2.0, 2.2, 3.0, 4.0};
+  constexpr std::size_t kNodes = 96;
+  util::Rng rng(12);
+  std::size_t cases = 0;
+  std::uint64_t near_queries = 0, near_fallbacks = 0;
+  std::uint64_t far_queries = 0, far_fallbacks = 0;
+  for (int trial = 0; trial < 160; ++trial) {
+    const double extent = extents_m[trial % 4];
+    std::vector<Vec2> positions(kNodes);
+    for (Vec2& p : positions) {
+      p = {rng.uniform(-extent, extent), rng.uniform(-extent, extent)};
+    }
+    for (int c = 0; c < 8; ++c) {
+      const Vec2 at = positions[rng.uniform_int(0, kNodes - 1)];
+      positions[rng.uniform_int(0, kNodes - 1)] = {
+          at.x_m + rng.uniform(-0.004, 0.004), at.y_m};
+    }
+    MediumConfig config;
+    config.path_loss_exponent = exponents[(trial / 4) % 4];
+    SharedMedium medium(config, positions);
+    // The table spans the placement seen at construction.
+    for (int f = 1; f <= 4; ++f) {
+      positions[rng.uniform_int(0, kNodes - 1)].x_m += 1e4 * f;
+    }
+    std::vector<std::uint32_t> order(kNodes);
+    std::iota(order.begin(), order.end(), 0u);
+    const std::uint64_t active = rng.uniform_int(0, 64);
+    for (std::uint64_t j = 0; j < active; ++j) {
+      std::swap(order[j], order[rng.uniform_int(j, kNodes - 1)]);
+      medium.begin(order[j], 0, 1.0, rng.uniform(-40.0, 0.0));
+    }
+    for (int q = 0; q < 40; ++q) {
+      const auto node =
+          static_cast<std::uint32_t>(rng.uniform_int(0, kNodes - 1));
+      const auto exclude = q % 2 == 0
+          ? node
+          : static_cast<std::uint32_t>(rng.uniform_int(0, kNodes - 1));
+      const double exact = medium.ambient_dbm(node, exclude);
+      const double near[] = {exact, std::nextafter(exact, -kInf),
+                             std::nextafter(exact, kInf)};
+      const double far[] = {exact + rng.uniform(-20.0, 20.0), -60.0};
+      std::uint64_t before = medium.cca_exact_fallbacks();
+      for (const double thr : near) {
+        EXPECT_EQ(medium.ambient_below(node, exclude, thr), exact < thr)
+            << "trial " << trial << " node " << node << " thr " << thr;
+        ++cases;
+      }
+      near_queries += 3;
+      near_fallbacks += medium.cca_exact_fallbacks() - before;
+      before = medium.cca_exact_fallbacks();
+      for (const double thr : far) {
+        EXPECT_EQ(medium.ambient_below(node, exclude, thr), exact < thr)
+            << "trial " << trial << " node " << node << " thr " << thr;
+        ++cases;
+      }
+      far_queries += 2;
+      far_fallbacks += medium.cca_exact_fallbacks() - before;
+    }
+    EXPECT_TRUE(medium.ambient_below(0, 0, kInf));
+    EXPECT_FALSE(medium.ambient_below(0, 0, -kInf));
+  }
+  EXPECT_GE(cases, 10000u);
+  // A threshold within the 1e-9 guard always takes the exact sum; a few
+  // dB away, the bounds decide almost every verdict by themselves.
+  EXPECT_EQ(near_fallbacks, near_queries);
+  EXPECT_LT(far_fallbacks * 100, far_queries);
 }
 
 TEST(NetworkSimulator, RejectsBadConfig) {
