@@ -13,6 +13,7 @@
 #include "core/offload.hpp"
 #include "circuits/charge_pump.hpp"
 #include "mac/crc.hpp"
+#include "net/event_queue.hpp"
 #include "net/medium.hpp"
 #include "net/network_sim.hpp"
 #include "net/topology.hpp"
@@ -195,6 +196,66 @@ void BM_NetFlightRecorder(benchmark::State& state) {
 #endif
 }
 BENCHMARK(BM_NetFlightRecorder)->Arg(0)->Arg(1)->Arg(2);
+
+// Calendar-queue hold model at the dense star's 10k depth: each
+// iteration pops the earliest event and schedules its successor.
+// Arg(0) is the clustered CSMA shape: 1,000 contenders backing off
+// 128 us + k x 320 us (k < 32) over 9,000 events that refire uniformly
+// within the next second. Arg(1) is the in-order TDMA shape: events
+// 2.5 ms apart, each successor 2.5 ms after the latest. scan_per_op is
+// sorted-insert links walked per iteration, cursor_per_op empty days
+// walked per pop; both include the queue's own re-tunes.
+void BM_EventQueueHold(benchmark::State& state) {
+  constexpr std::uint32_t kDepth = 10000;
+  constexpr std::uint32_t kContenders = 1000;
+  constexpr double kSlotS = 2.5e-3;
+  const bool in_order = state.range(0) == 1;
+  util::Rng rng(5);
+  std::vector<double> backoff(4096);
+  std::vector<double> refire(4096);
+  for (double& s : backoff) {
+    s = 128e-6 + 320e-6 * static_cast<double>(rng.uniform_int(0, 31));
+  }
+  for (double& s : refire) s = rng.uniform(0.0, 1.0);
+
+  net::EventQueue queue;
+  double last = 0.0;
+  for (std::uint32_t i = 0; i < kDepth; ++i) {
+    if (in_order) {
+      last += kSlotS;
+      queue.schedule(last, i, 0);
+    } else if (i < kContenders) {
+      queue.schedule(rng.uniform(0.0, 10e-3), i, 0);
+    } else {
+      queue.schedule(rng.uniform(0.0, 1.0), i, 1);
+    }
+  }
+  const std::uint64_t scans = queue.scan_steps();
+  const std::uint64_t cursor = queue.cursor_steps();
+  net::Event ev;
+  std::size_t k = 0;
+  for (auto _ : state) {
+    // Input-only overload: with gcc 12 -O2 the read-write overload on
+    // ev.time_s miscompiled, scheduling a successor before the clock.
+    benchmark::DoNotOptimize(queue.pop(ev));
+    if (in_order) {
+      last += kSlotS;
+      queue.schedule(last, ev.node, 0);
+    } else {
+      const double step = ev.kind == 0 ? backoff[k++ & 4095]
+                                       : refire[k++ & 4095];
+      queue.schedule(ev.time_s + step, ev.node, ev.kind);
+    }
+  }
+  state.SetItemsProcessed(state.iterations());
+  const double ops = static_cast<double>(
+      std::max<benchmark::IterationCount>(state.iterations(), 1));
+  state.counters["scan_per_op"] =
+      static_cast<double>(queue.scan_steps() - scans) / ops;
+  state.counters["cursor_per_op"] =
+      static_cast<double>(queue.cursor_steps() - cursor) / ops;
+}
+BENCHMARK(BM_EventQueueHold)->Arg(0)->Arg(1);
 
 // Shared-medium carrier sense on the 10k-tag 2 m star placement with
 // Arg() tags on the air at the backscatter interferer level (the dense

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
 #include "util/contract.hpp"
 
@@ -13,25 +12,23 @@ namespace {
 /// beyond any simulated horizon, but a contract beats silent overflow.
 constexpr double kMaxDays = 9.0e18;
 
-/// Width re-tune probe: after this many inserts, check the mean scan.
+/// Starting calendar: 64 days of 250 us (about one short frame each).
+constexpr double kInitialWidthS = 250e-6;
+constexpr std::size_t kInitialBuckets = 64;
+
+/// Width re-tune probe: after this many inserts, check the window.
 constexpr std::uint64_t kProbeInserts = 64;
-/// Mean sorted-insert scan length that triggers a width re-tune.
-constexpr std::uint64_t kMaxMeanScan = 8;
+/// Mean steps per insert (scan) or per pop (cursor) that trigger a
+/// width re-tune.
+constexpr std::uint64_t kMaxMeanSteps = 8;
 /// Day-counter headroom kept when shrinking the width (days < 1e15).
 constexpr double kWidthFloorDays = 1.0e15;
 }  // namespace
 
-EventQueue::EventQueue(double bucket_width_s, std::size_t buckets)
-    : width_(bucket_width_s) {
-  if (!(bucket_width_s > 0.0) || !std::isfinite(bucket_width_s)) {
-    throw std::invalid_argument(
-        "net::EventQueue: bucket width must be finite and > 0");
-  }
-  if (buckets == 0) {
-    throw std::invalid_argument("net::EventQueue: need at least one bucket");
-  }
-  heads_.assign(buckets, kNoEvent);
-}
+EventQueue::EventQueue()
+    : width_(kInitialWidthS),
+      inv_width_(1.0 / kInitialWidthS),
+      heads_(kInitialBuckets, kNoEvent) {}
 
 EventId EventQueue::acquire() {
   if (free_head_ != kNoEvent) {
@@ -49,14 +46,19 @@ void EventQueue::release(EventId id) {
 }
 
 std::uint64_t EventQueue::day_of(double time_s) const {
-  return static_cast<std::uint64_t>(time_s / width_);
+  // Multiplying by the stored reciprocal is monotone in time_s, and
+  // every bucket and cursor decision goes through this one mapping.
+  return static_cast<std::uint64_t>(time_s * inv_width_);
+}
+
+std::size_t EventQueue::bucket_of(std::uint64_t day) const {
+  // The bucket count is 64 doubled k times: a mask, not a division.
+  return static_cast<std::size_t>(day & (heads_.size() - 1));
 }
 
 void EventQueue::insert(EventId id) {
   const Event& ev = pool_[id];
-  const std::size_t b =
-      static_cast<std::size_t>(day_of(ev.time_s) % heads_.size());
-  EventId* link = &heads_[b];
+  EventId* link = &heads_[bucket_of(day_of(ev.time_s))];
   while (*link != kNoEvent) {
     const Event& at = pool_[*link];
     if (ev.time_s < at.time_s ||
@@ -70,27 +72,62 @@ void EventQueue::insert(EventId id) {
   *link = id;
 }
 
+double EventQueue::dequeue_gap() const {
+  return probe_advances_ > 0 ? (now_s_ - probe_start_s_) /
+                                   static_cast<double>(probe_advances_)
+                             : gap_s_;
+}
+
+double EventQueue::probe_width() const {
+  // Brown's rule: a day of about three mean dequeue gaps. The gap is the
+  // clock advance over the window's clock-advancing pops (a burst of
+  // simultaneous events needs no day of its own, so ties do not shrink
+  // it); a window without such a pop, such as an insert burst at a TDMA
+  // round start, reuses the last window's gap, since inserting changes
+  // the queue's contents but not its dequeue rate. Only before the
+  // first measured gap (a bulk pre-fill) does the width fall back to
+  // twice the live events' mean gap; every live time is in
+  // [now_s_, max_sched_s_] because pops run in time order, so that span
+  // is O(1).
+  const double gap = dequeue_gap();
+  const double width =
+      gap > 0.0 ? 3.0 * gap
+                : 2.0 * (max_sched_s_ - now_s_) / static_cast<double>(size_);
+  // Floored so the integer day counter keeps ~1e15 days of headroom.
+  return std::max(width, max_sched_s_ / kWidthFloorDays);
+}
+
+void EventQueue::close_probe() {
+  gap_s_ = dequeue_gap();
+  scan_total_ += probe_scan_steps_;
+  cursor_total_ += probe_cursor_steps_;
+  probe_inserts_ = 0;
+  probe_scan_steps_ = 0;
+  probe_pops_ = 0;
+  probe_advances_ = 0;
+  probe_cursor_steps_ = 0;
+  probe_start_s_ = now_s_;
+}
+
 void EventQueue::maybe_grow() {
   const bool crowded = size_ > 2 * heads_.size();
   double new_width = width_;
   if (probe_inserts_ >= kProbeInserts) {
-    if (probe_scan_steps_ > kMaxMeanScan * probe_inserts_ && size_ > 1) {
-      // Long scans mean the live events cluster into far fewer days than
-      // there are buckets. Re-tune the day length to twice the mean gap
-      // (the classic calendar-queue rule). The live span is bounded
-      // O(1): every live time is in [now_s_, max_sched_s_] because pops
-      // run in time order. Floored so the integer day counter keeps
-      // ~1e15 days of headroom, and only ever shrinking (a sparse
-      // calendar already pops via the day cursor / sparse jump), with a
-      // 2x hysteresis so a borderline probe does not thrash rebuilds.
-      const double span = max_sched_s_ - now_s_;
-      double cand = 2.0 * span / static_cast<double>(size_);
-      cand = std::max(cand, max_sched_s_ / kWidthFloorDays);
-      if (cand > 0.0 && cand < 0.5 * width_) new_width = cand;
+    // Long insert scans mean too many events per day; long cursor walks
+    // mean too few. Either re-tunes toward probe_width(), but only in
+    // the direction that relieves what the window saw, and only past a
+    // 2x hysteresis so a borderline probe does not thrash rebuilds.
+    const bool too_wide = probe_scan_steps_ > kMaxMeanSteps * probe_inserts_;
+    const bool too_narrow =
+        probe_cursor_steps_ > kMaxMeanSteps * probe_pops_;
+    if ((too_wide || too_narrow) && size_ > 1) {
+      const double cand = probe_width();
+      if (cand > 0.0 && ((too_wide && cand < 0.5 * width_) ||
+                         (too_narrow && cand > 2.0 * width_))) {
+        new_width = cand;
+      }
     }
-    scan_total_ += probe_scan_steps_;
-    probe_inserts_ = 0;
-    probe_scan_steps_ = 0;
+    close_probe();
   }
   const bool retune = new_width != width_;
   if (!crowded && !retune) return;
@@ -112,14 +149,13 @@ void EventQueue::maybe_grow() {
   if (crowded) heads_.assign(heads_.size() * 2, kNoEvent);
   if (retune) {
     width_ = new_width;
+    inv_width_ = 1.0 / new_width;
     day_ = day_of(now_s_);  // same clock, new day units
   }
   for (const EventId id : live) insert(id);
   // The rebuild's own inserts must not count toward the next probe
   // (they do count toward the cumulative scan-cost telemetry).
-  scan_total_ += probe_scan_steps_;
-  probe_inserts_ = 0;
-  probe_scan_steps_ = 0;
+  close_probe();
 }
 
 EventId EventQueue::schedule(double time_s, std::uint32_t node,
@@ -127,8 +163,8 @@ EventId EventQueue::schedule(double time_s, std::uint32_t node,
                              std::uint64_t b) {
   BRAIDIO_REQUIRE(std::isfinite(time_s) && time_s >= now_s_, "time_s",
                   time_s, "now_s", now_s_);
-  BRAIDIO_REQUIRE(time_s / width_ < kMaxDays, "time_s", time_s, "width_s",
-                  width_);
+  BRAIDIO_REQUIRE(time_s * inv_width_ < kMaxDays, "time_s", time_s,
+                  "width_s", width_);
   const EventId id = acquire();
   Event& ev = pool_[id];
   ev.time_s = time_s;
@@ -143,7 +179,11 @@ EventId EventQueue::schedule(double time_s, std::uint32_t node,
   insert(id);
   ++size_;
   peak_size_ = std::max<std::uint64_t>(peak_size_, size_);
-  maybe_grow();
+  // Only a crowded calendar or a full probe window can rebuild; keep
+  // the common case free of the out-of-line call.
+  if (size_ > 2 * heads_.size() || probe_inserts_ >= kProbeInserts) {
+    maybe_grow();
+  }
   return id;
 }
 
@@ -154,14 +194,17 @@ bool EventQueue::pop(Event& out) {
   // (wraparound) from firing a year early.
   const std::size_t buckets = heads_.size();
   EventId hit = kNoEvent;
-  for (std::size_t step = 0; step < buckets; ++step) {
-    const EventId head = heads_[static_cast<std::size_t>(day_ % buckets)];
+  std::size_t step = 0;
+  for (; step < buckets; ++step) {
+    const EventId head = heads_[bucket_of(day_)];
     if (head != kNoEvent && day_of(pool_[head].time_s) <= day_) {
       hit = head;
       break;
     }
     ++day_;
   }
+  probe_cursor_steps_ += step;
+  ++probe_pops_;
   if (hit == kNoEvent) {
     // Sparse region: nothing within the next lap. Jump the calendar
     // straight to the earliest head (deterministic bucket-index scan,
@@ -176,9 +219,10 @@ bool EventQueue::pop(Event& out) {
     }
     day_ = day_of(pool_[hit].time_s);
   }
-  heads_[static_cast<std::size_t>(day_ % buckets)] = pool_[hit].next;
+  heads_[bucket_of(day_)] = pool_[hit].next;
   out = pool_[hit];
   out.next = kNoEvent;
+  if (out.time_s > now_s_) ++probe_advances_;
   now_s_ = out.time_s;
   release(hit);
   --size_;
@@ -198,12 +242,12 @@ void EventQueue::reset() {
   day_ = 0;
   now_s_ = 0.0;
   next_seq_ = 0;
-  // Introspection counters (retunes/grows/peak/scan) are lifetime-
-  // cumulative like processed_; only the open probe window closes.
-  scan_total_ += probe_scan_steps_;
-  probe_inserts_ = 0;
-  probe_scan_steps_ = 0;
   max_sched_s_ = 0.0;
+  // Introspection counters (retunes/grows/peak/scan/cursor) are
+  // lifetime-cumulative like processed_; only the open probe window
+  // closes. The width and bucket count carry over to the refill.
+  close_probe();
+  gap_s_ = 0.0;  // a new run measures its own dequeue rate
 }
 
 }  // namespace braidio::net

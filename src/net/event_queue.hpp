@@ -1,13 +1,13 @@
 // Central discrete-event scheduler for the many-node network simulator.
 //
 // A calendar queue over virtual time: events hash into time buckets of a
-// fixed width, each bucket holds an intrusively linked list sorted by
+// common width, each bucket holds an intrusively linked list sorted by
 // (time, seq), and dequeue walks the calendar the way a desk calendar is
 // read — today's page first, later pages as the clock advances, wrapping
 // around the bucket array once per "year". Amortized O(1) schedule/pop
-// for workloads whose inter-event gaps are within a few bucket widths,
-// which network traffic is by construction (airtimes and backoffs cluster
-// around the frame duration the width is tuned to).
+// while the day width stays near the gap between consecutive pops, so
+// the queue measures that gap itself and re-tunes the width (Brown's
+// calendar rule, CACM 1988): no caller tunes it.
 //
 // Determinism rules (DESIGN.md §15):
 //   * ties on time_s break by a monotonically increasing sequence number
@@ -19,7 +19,10 @@
 //   * events live in an index-addressed object pool (no pointers, no
 //     per-event heap allocation on the hot path; freed slots recycle
 //     through an intrusive free list), so no ordering decision ever
-//     depends on allocation addresses.
+//     depends on allocation addresses;
+//   * the width re-tune reads only virtual times and call counts, so it
+//     too is a pure function of the call sequence — and the pop order is
+//     (time, seq) whatever the width, so re-tuning cannot change it.
 #pragma once
 
 #include <cstddef>
@@ -47,18 +50,11 @@ struct Event {
 
 class EventQueue {
  public:
-  /// `bucket_width_s` is the calendar's initial day length — tune it
-  /// near the median inter-event gap. `buckets` is the initial calendar
-  /// size (grows automatically when occupancy exceeds ~2 events/bucket).
-  /// When sorted inserts start scanning long chains (events clustering
-  /// into far fewer days than there are buckets), the calendar re-tunes
-  /// its width to the live events' mean gap and re-buckets — see
-  /// bucket_width_s() for the current value. The re-tune trigger is a
-  /// pure function of the schedule/pop call sequence, so pop order and
-  /// determinism are unaffected.
-  /// Throws std::invalid_argument on a non-positive width or zero size.
-  explicit EventQueue(double bucket_width_s = 250e-6,
-                      std::size_t buckets = 64);
+  /// Starts with 64 buckets of 250 us. The bucket array doubles when
+  /// occupancy exceeds ~2 events/bucket, and the day width re-tunes
+  /// itself when sorted inserts scan long chains (too many events per
+  /// day) or pops walk many empty days (too few) — see bucket_width_s().
+  EventQueue();
 
   /// Schedule an event at `time_s` (>= now_s(); the virtual clock never
   /// runs backwards). Returns the pooled id (valid until popped).
@@ -86,24 +82,29 @@ class EventQueue {
   /// Pool slots ever allocated (pinned by the pool-reuse tests).
   std::size_t pool_slots() const { return pool_.size(); }
 
-  /// Current day length; starts at the constructor value and shrinks
-  /// when the calendar re-tunes to a clustered workload.
+  /// Current day length; starts at 250 us, shrinks when the calendar
+  /// re-tunes to a clustered workload and widens for a sparse one.
   double bucket_width_s() const { return width_; }
   std::size_t bucket_count() const { return heads_.size(); }
 
   // --- introspection (flight-recorder scheduler plane) ---------------
   // Lifetime-cumulative like processed(): reset() rewinds the clock but
   // keeps these, so a queue's telemetry survives arena reuse.
-  /// Width re-tunes triggered by the insert-scan probe.
+  /// Width re-tunes triggered by the scan/cursor probe.
   std::uint64_t retunes() const { return retunes_; }
   /// Calendar doublings triggered by occupancy.
   std::uint64_t grows() const { return grows_; }
   /// Largest simultaneous event population ever held.
   std::uint64_t peak_size() const { return peak_size_; }
-  /// Cumulative sorted-insert scan steps (the re-tune probe's cost
-  /// signal, accumulated across probe windows).
+  /// Cumulative sorted-insert scan steps: links walked past by schedule()
+  /// and by re-bucketing (the probe's too-narrow signal).
   std::uint64_t scan_steps() const {
     return scan_total_ + probe_scan_steps_;
+  }
+  /// Cumulative empty days the pop() cursor walked past (the probe's
+  /// too-wide signal); a sparse jump counts the lap it gave up on.
+  std::uint64_t cursor_steps() const {
+    return cursor_total_ + probe_cursor_steps_;
   }
 
  private:
@@ -111,13 +112,25 @@ class EventQueue {
   void release(EventId id);
   /// Calendar day (bucket-window ordinal) a time belongs to.
   std::uint64_t day_of(double time_s) const;
+  /// Bucket a calendar day hashes to.
+  std::size_t bucket_of(std::uint64_t day) const;
   /// Sorted insert into the bucket owning `pool_[id].time_s`.
   void insert(EventId id);
   /// Double the calendar when occupancy gets dense, and re-tune the day
-  /// width when sorted inserts degrade; re-buckets in place either way.
+  /// width when the probe window saw long insert scans or long cursor
+  /// walks; re-buckets in place either way.
   void maybe_grow();
+  /// Mean virtual time between clock-advancing pops: this probe
+  /// window's, else the last window's (0 before any was measured).
+  double dequeue_gap() const;
+  /// Day width the probe window's traffic asks for (see maybe_grow()).
+  double probe_width() const;
+  /// Fold the open probe window into the lifetime counters and open a
+  /// new one at the current clock.
+  void close_probe();
 
   double width_;
+  double inv_width_;            // 1 / width_, the day_of() multiplier
   std::vector<EventId> heads_;  // bucket heads, sorted by (time, seq)
   std::vector<Event> pool_;
   EventId free_head_ = kNoEvent;
@@ -126,17 +139,28 @@ class EventQueue {
   double now_s_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t processed_ = 0;
-  // Insert-scan probe driving the width re-tune (reset every rebuild).
+  // Probe window driving the width re-tune: closed every 64 inserts, at
+  // every rebuild and at reset(). It counts its inserts and their scan
+  // steps, its pops, the empty days they walked and how many of them
+  // advanced the clock, and remembers the clock it opened at.
   std::uint64_t probe_inserts_ = 0;
   std::uint64_t probe_scan_steps_ = 0;
+  std::uint64_t probe_pops_ = 0;
+  std::uint64_t probe_advances_ = 0;
+  std::uint64_t probe_cursor_steps_ = 0;
+  double probe_start_s_ = 0.0;
+  /// Mean gap between clock-advancing pops in the last window that had
+  /// any (0 until one closes; reset() forgets it).
+  double gap_s_ = 0.0;
   // Introspection counters (see the accessors above).
   std::uint64_t retunes_ = 0;
   std::uint64_t grows_ = 0;
   std::uint64_t peak_size_ = 0;
-  std::uint64_t scan_total_ = 0;  // scan steps from closed probe windows
+  std::uint64_t scan_total_ = 0;    // scan steps from closed windows
+  std::uint64_t cursor_total_ = 0;  // cursor steps from closed windows
   /// Latest time ever scheduled: with pops in time order, live events
   /// always sit in [now_s_, max_sched_s_], which bounds the live span
-  /// O(1) for the width re-tune.
+  /// O(1) for a re-tune before any pop.
   double max_sched_s_ = 0.0;
 };
 

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -57,6 +58,39 @@ void trace_flow(obs::EventType type, const char* stage, std::uint32_t node,
 #endif
 }
 
+/// Fault kinds fault_loss_db() applies: extra loss and carrier dropout.
+/// Fade bursts, distance jumps and brownouts are pair-link concepts the
+/// network run would otherwise ignore silently.
+bool net_honours(sim::faults::FaultKind kind) {
+  switch (kind) {
+    case sim::faults::FaultKind::Shadowing:
+    case sim::faults::FaultKind::Interferer:
+    case sim::faults::FaultKind::CarrierDropout:
+      return true;
+    case sim::faults::FaultKind::FadeBurst:
+    case sim::faults::FaultKind::DistanceJump:
+    case sim::faults::FaultKind::Brownout:
+      return false;
+  }
+  return false;
+}
+
+/// Throws std::invalid_argument naming the first scripted fault the
+/// network simulator cannot honour: its index, kind and start time.
+void reject_unhonoured_faults(const sim::faults::ImpairmentSchedule& faults) {
+  const auto& events = faults.timeline().events();
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    if (net_honours(events[i].kind)) continue;
+    std::ostringstream msg;
+    msg << "net::NetworkSimulator: fault event " << i << " ("
+        << sim::faults::to_string(events[i].kind) << " at "
+        << events[i].start_s
+        << " s) is not supported; net honours shadowing, interferer and "
+           "dropout faults only";
+    throw std::invalid_argument(msg.str());
+  }
+}
+
 }  // namespace
 
 NetworkSimulator::NetworkSimulator(NetConfig config)
@@ -66,6 +100,9 @@ NetworkSimulator::NetworkSimulator(NetConfig config)
   }
   if (config_.payload_bytes > mac::kMaxPayloadBytes) {
     throw std::invalid_argument("net::NetworkSimulator: payload too large");
+  }
+  if (config_.impairments != nullptr) {
+    reject_unhonoured_faults(*config_.impairments);
   }
   BRAIDIO_REQUIRE(config_.turnaround_s >= 0.0 &&
                       std::isfinite(config_.turnaround_s),

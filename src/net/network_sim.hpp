@@ -46,9 +46,12 @@
 // totals are exact: sum(ledger) == capacity - remaining, and the global
 // total is the index-ordered sum of the per-node totals.
 //
-// Scope notes: fault extra-loss and carrier-dropout windows apply (per
-// node when the schedule targets one); DistanceJump/FadeBurst/Brownout
-// are two-endpoint pair-link concepts consumed by BraidedLink, not here.
+// Scope notes: fault extra-loss (shadowing, interferer) and
+// carrier-dropout windows apply (per node when the schedule targets
+// one). DistanceJump/FadeBurst/Brownout are two-endpoint pair-link
+// concepts consumed by BraidedLink; construction rejects a schedule
+// holding any of them (std::invalid_argument naming the first one)
+// rather than run as if it were not there.
 #pragma once
 
 #include <cstdint>
@@ -94,7 +97,8 @@ struct NetConfig {
   /// tx power when they interfere with other links [dB].
   double backscatter_loss_db = 30.0;
   /// Scripted faults (not owned; must outlive the run). Node-targeted
-  /// events (`@<id>`) hit only that node's links.
+  /// events (`@<id>`) hit only that node's links. Only shadowing,
+  /// interferer and dropout events are accepted (see the scope notes).
   const sim::faults::ImpairmentSchedule* impairments = nullptr;
   /// Arm the flight recorder (net/netstats.hpp): per-node counter
   /// blocks, the per-link matrix, latency, and the scheduler series.
@@ -139,8 +143,9 @@ struct NetStats {
 class NetworkSimulator final : public MacContext {
  public:
   /// Builds the topology and the node population. Throws
-  /// std::invalid_argument when `backend` is null or the topology/MAC
-  /// configuration is invalid.
+  /// std::invalid_argument when `backend` is null, the topology/MAC
+  /// configuration is invalid, or `impairments` holds a fault kind the
+  /// network run cannot honour.
   explicit NetworkSimulator(NetConfig config);
 
   /// Drain the event schedule to completion. Call once.

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <set>
 #include <stdexcept>
+#include <tuple>
 #include <vector>
 
 #include "net/csma.hpp"
@@ -13,12 +15,6 @@
 
 namespace braidio::net {
 namespace {
-
-TEST(EventQueue, RejectsBadConstruction) {
-  EXPECT_THROW(EventQueue(0.0), std::invalid_argument);
-  EXPECT_THROW(EventQueue(-1.0), std::invalid_argument);
-  EXPECT_THROW(EventQueue(1.0, 0), std::invalid_argument);
-}
 
 TEST(EventQueue, PopsInTimeOrder) {
   EventQueue queue;
@@ -95,15 +91,18 @@ TEST(EventQueue, ResetRecyclesTheArena) {
 }
 
 TEST(EventQueue, WrapsAroundManyCalendarLaps) {
-  // 8 buckets x 1 ms days: consecutive events 5 days apart lap the
-  // calendar hundreds of times; order and clock must never slip.
-  EventQueue queue(1e-3, 8);
+  // Consecutive events 5 ms apart span tens of calendar years at the
+  // starting width (no pop runs during the fill, so nothing re-tunes);
+  // order and clock must never slip across the laps.
+  EventQueue queue;
   double t = 0.0;
   std::uint32_t seq = 0;
   for (int i = 0; i < 500; ++i) {
     t += 5e-3;
     queue.schedule(t, seq++, 0);
   }
+  ASSERT_GT(t, 10.0 * queue.bucket_width_s() *
+                   static_cast<double>(queue.bucket_count()));
   Event ev;
   double last = 0.0;
   for (std::uint32_t want = 0; want < seq; ++want) {
@@ -117,10 +116,12 @@ TEST(EventQueue, WrapsAroundManyCalendarLaps) {
 TEST(EventQueue, SparseJumpSkipsEmptyYears) {
   // A gap a whole lap cannot cover forces the sparse-region jump; the
   // far event must still fire (and in (time, seq) order).
-  EventQueue queue(1e-3, 8);
+  EventQueue queue;
   queue.schedule(1e-3, 1, 0);
   queue.schedule(1000.0, 3, 0);
   queue.schedule(1000.0, 2, 0);  // same instant: seq breaks the tie
+  ASSERT_GT(1000.0, queue.bucket_width_s() *
+                        static_cast<double>(queue.bucket_count()));
   Event ev;
   ASSERT_TRUE(queue.pop(ev));
   EXPECT_EQ(ev.node, 1u);
@@ -159,6 +160,194 @@ TEST(EventQueue, RetunesWidthForClusteredWorkloads) {
     last_seq = ev.seq;
   }
   EXPECT_TRUE(queue.empty());
+}
+
+// Shapes of the dense-star scheduler load. A CSMA contender backs off
+// 128 us (CCA) plus k x 320 us, k < 32, from now; a tail event (a first
+// kick) refires uniformly within the next second.
+constexpr std::uint32_t kContender = 0;
+constexpr std::uint32_t kTail = 1;
+
+double contender_step(util::Rng& rng) {
+  return 128e-6 + 320e-6 * static_cast<double>(rng.uniform_int(0, 31));
+}
+
+TEST(EventQueue, CsmaShapedHoldKeepsInsertScansShort) {
+  // 1,000 contenders crowding the next 10 ms over 9,000 events spread
+  // across the next second, at the star's 10k depth. A day width fitted
+  // to the whole live span (~200 us) puts ~25 contenders in each day and
+  // every insert walks past about half of them; fitted to the dequeue
+  // rate, a sorted insert walks at most a few links.
+  EventQueue queue;
+  util::Rng rng(3);
+  for (std::uint32_t i = 0; i < 9000; ++i) {
+    queue.schedule(rng.uniform(0.0, 1.0), i, kTail);
+  }
+  for (std::uint32_t i = 0; i < 1000; ++i) {
+    queue.schedule(rng.uniform(0.0, 10e-3), i, kContender);
+  }
+  Event ev;
+  const auto hold = [&](int ops) {
+    for (int k = 0; k < ops; ++k) {
+      ASSERT_TRUE(queue.pop(ev));
+      const double next = ev.kind == kContender
+                              ? ev.time_s + contender_step(rng)
+                              : ev.time_s + rng.uniform(0.0, 1.0);
+      queue.schedule(next, ev.node, ev.kind);
+    }
+  };
+  hold(20000);  // warm-up: measure the steady state, not the re-tune
+  const std::uint64_t scans = queue.scan_steps();
+  const int ops = 100000;
+  hold(ops);
+  const double per_insert =
+      static_cast<double>(queue.scan_steps() - scans) / ops;
+  EXPECT_LE(per_insert, 3.0);
+  EXPECT_LT(queue.retunes(), 10u);
+}
+
+TEST(EventQueue, InOrderSparseHoldWidensTheDay) {
+  // Sixteen events in flight, each scheduled 5 ms after the last (a
+  // slot train): at the starting width every pop walks ~20 empty days,
+  // so the calendar must widen its day rather than keep walking.
+  EventQueue queue;
+  const double initial_width = queue.bucket_width_s();
+  double last = 0.0;
+  for (std::uint32_t i = 0; i < 16; ++i) {
+    last += 5e-3;
+    queue.schedule(last, i, 0);
+  }
+  Event ev;
+  for (int k = 0; k < 2000; ++k) {
+    ASSERT_TRUE(queue.pop(ev));
+    last += 5e-3;
+    queue.schedule(last, ev.node, 0);
+  }
+  EXPECT_GT(queue.bucket_width_s(), initial_width);
+  EXPECT_LT(queue.retunes(), 10u);
+}
+
+TEST(EventQueue, InsertBurstWithoutPopsKeepsTheMeasuredDay) {
+  // A slot train 5 ms apart widens the day; then 200 events land 0.5 ms
+  // apart before the next pop (a round start). The window holding that
+  // burst has no pops, so it re-tunes from the last measured dequeue gap
+  // rather than from the burst's own spacing: the day stays wide.
+  EventQueue queue;
+  double last = 0.0;
+  for (std::uint32_t i = 0; i < 16; ++i) {
+    last += 5e-3;
+    queue.schedule(last, i, 0);
+  }
+  Event ev;
+  for (int k = 0; k < 2000; ++k) {
+    ASSERT_TRUE(queue.pop(ev));
+    last += 5e-3;
+    queue.schedule(last, ev.node, 0);
+  }
+  const double widened = queue.bucket_width_s();
+  const std::uint64_t retunes = queue.retunes();
+  for (std::uint32_t i = 0; i < 200; ++i) {
+    last += 0.5e-3;
+    queue.schedule(last, 100 + i, 0);
+  }
+  EXPECT_EQ(queue.bucket_width_s(), widened);
+  EXPECT_EQ(queue.retunes(), retunes);
+}
+
+TEST(EventQueue, MatchesAnOrderedSetAcrossRetunesBothWays) {
+  // Randomized differential run against a std::set ordered by
+  // (time, seq): clustered ms-scale contention over a uniform far tail
+  // (the width must fall), a drain, in-order events 5 ms apart (it must
+  // rise), a reset() mid-stream, then the clustered phase again. Ties
+  // come from rescheduling at exactly now and from repeating the last
+  // contender's instant. Every pop must match the reference.
+  using Key = std::tuple<double, std::uint64_t, std::uint32_t>;
+  std::set<Key> ref;
+  EventQueue queue;
+  util::Rng rng(11);
+  std::uint64_t seq = 0;
+  std::size_t ops = 0;
+  std::size_t mismatches = 0;
+  bool fell = false;
+  bool rose = false;
+  const auto schedule = [&](double t, std::uint32_t node,
+                            std::uint32_t kind) {
+    const double before = queue.bucket_width_s();
+    queue.schedule(t, node, kind);
+    ref.emplace(t, seq++, node);
+    fell = fell || queue.bucket_width_s() < before;
+    rose = rose || queue.bucket_width_s() > before;
+    ++ops;
+  };
+  const auto pop = [&](Event& ev) {
+    ASSERT_TRUE(queue.pop(ev));
+    ASSERT_FALSE(ref.empty());
+    if (Key(ev.time_s, ev.seq, ev.node) != *ref.begin()) ++mismatches;
+    ref.erase(ref.begin());
+    ++ops;
+  };
+  const auto clustered = [&](int holds) {
+    for (std::uint32_t i = 0; i < 5000; ++i) {
+      schedule(queue.now_s() + rng.uniform(0.0, 1.0), i, kTail);
+    }
+    double last_contender = queue.now_s();
+    for (std::uint32_t i = 0; i < 600; ++i) {
+      last_contender = queue.now_s() + rng.uniform(0.0, 10e-3);
+      schedule(last_contender, 5000 + i, kContender);
+    }
+    Event ev;
+    for (int k = 0; k < holds; ++k) {
+      pop(ev);
+      if (ev.kind == kTail) {
+        schedule(ev.time_s + rng.uniform(0.0, 1.0), ev.node, kTail);
+        continue;
+      }
+      const double u = rng.uniform();
+      double next = ev.time_s + contender_step(rng);
+      if (u < 0.05) {
+        next = ev.time_s;  // fires again at this very instant
+      } else if (u < 0.15 && last_contender >= ev.time_s) {
+        next = last_contender;  // shares another contender's instant
+      }
+      last_contender = next;
+      schedule(next, ev.node, kContender);
+    }
+  };
+  const auto in_order = [&](int holds) {
+    double last = queue.now_s();
+    for (std::uint32_t i = 0; i < 32; ++i) {
+      last += 5e-3;
+      schedule(last, i, 0);
+    }
+    Event ev;
+    for (int k = 0; k < holds; ++k) {
+      pop(ev);
+      last += 5e-3;
+      schedule(last, ev.node, 0);
+    }
+  };
+  const auto drain = [&] {
+    Event ev;
+    while (!queue.empty()) pop(ev);
+  };
+
+  clustered(30000);
+  drain();
+  EXPECT_TRUE(fell);  // clustered contention narrowed the day
+  rose = false;
+  in_order(20000);
+  EXPECT_TRUE(rose);  // the in-order train widened it
+  queue.reset();      // with the train's events still queued
+  ref.clear();
+  seq = 0;
+  fell = false;
+  clustered(20000);
+  drain();
+  EXPECT_TRUE(fell);  // and contention after reset() narrowed it again
+
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_TRUE(ref.empty());
+  EXPECT_GE(ops, 100000u);
 }
 
 TEST(CsmaCa, RejectsBadConfig) {

@@ -376,5 +376,55 @@ TEST(NetworkSimulator, NodeTargetedFaultsHitOnlyTheirNode) {
   EXPECT_EQ(stats.arq_drops, 2u);  // both of tag 1's frames timed out
 }
 
+TEST(NetworkSimulator, RejectsFaultKindsItCannotHonour) {
+  // Fade bursts, distance jumps and brownouts are pair-link faults: a
+  // network run must refuse them, naming the first offender, rather than
+  // print the unfaulted result. Extra loss and dropout stay accepted.
+  struct Case {
+    const char* line;
+    const char* kind;
+    const char* start;
+  };
+  const Case cases[] = {{"brownout 0.01 1000 both", "brownout", "0.01"},
+                        {"distance 0.02 50", "distance", "0.02"},
+                        {"fade 0.03 0.1 10", "fade", "0.03"}};
+  for (const Case& c : cases) {
+    // The accepted dropout sorts first, so the offender is event 1; a
+    // second offender later in the script must not be the one named.
+    std::istringstream script(std::string("dropout 0 0.5 @1\n") + c.line +
+                              "\nbrownout 9 1 a\n");
+    std::string error;
+    const auto timeline = sim::faults::FaultTimeline::parse(script, &error);
+    ASSERT_TRUE(timeline.has_value()) << error;
+    const sim::faults::ImpairmentSchedule schedule(*timeline);
+    NetConfig config;
+    config.backend = &backend(backends::kBraidio);
+    config.topology.nodes = 2;
+    config.impairments = &schedule;
+    try {
+      NetworkSimulator sim(config);
+      ADD_FAILURE() << "accepted " << c.line;
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("fault event 1"), std::string::npos) << what;
+      EXPECT_NE(what.find(std::string("(") + c.kind + " at " + c.start),
+                std::string::npos)
+          << what;
+    }
+  }
+
+  std::istringstream honoured(
+      "shadowing 0 1 3\ninterferer 0 1 -50\ndropout 0 1 @1\n");
+  std::string error;
+  const auto timeline = sim::faults::FaultTimeline::parse(honoured, &error);
+  ASSERT_TRUE(timeline.has_value()) << error;
+  const sim::faults::ImpairmentSchedule schedule(*timeline);
+  NetConfig config;
+  config.backend = &backend(backends::kBraidio);
+  config.topology.nodes = 2;
+  config.impairments = &schedule;
+  EXPECT_NO_THROW(NetworkSimulator{config});
+}
+
 }  // namespace
 }  // namespace braidio::net
