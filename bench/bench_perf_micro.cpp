@@ -155,11 +155,12 @@ BENCHMARK(BM_Fig15SweepObs)->Arg(0)->Arg(1)->Arg(2);
 
 // Network flight-recorder overhead contract (DESIGN.md §17): one dense
 // star run per iteration. Arg(0) runs with the recorder and tracer OFF
-// — the instrumented hot paths pay only a null-pointer check per
-// counter site and a relaxed load per flow-stage site, which is where
-// the <2% disabled-overhead ceiling is priced. Arg(1) arms the
-// per-node/per-link/scheduler stats planes; Arg(2) additionally turns
-// on packet-lifecycle tracing into a bounded ring.
+// — the per-node counter blocks are always on (one array bump per
+// counted fact) and each flow-stage site pays a relaxed load, which is
+// where the <2% disabled-overhead ceiling is priced. Arg(1) arms the
+// recorder (block copy, link matrix, latency, scheduler series);
+// Arg(2) additionally turns on packet-lifecycle tracing into a bounded
+// ring.
 void BM_NetFlightRecorder(benchmark::State& state) {
   const bool stats = state.range(0) >= 1;
   const bool trace = state.range(0) >= 2;

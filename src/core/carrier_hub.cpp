@@ -12,7 +12,29 @@ namespace braidio::core {
 
 namespace {
 constexpr double kTurnaroundS = 150e-6;
+
+/// Throws std::invalid_argument when the configuration cannot run,
+/// naming the first scripted fault the hub cannot honour.
+void validate(const HubConfig& config,
+              const std::vector<HubNodeConfig>& nodes) {
+  if (nodes.empty()) {
+    throw std::invalid_argument("CarrierHub: need at least one node");
+  }
+  if (config.packets_per_slot == 0) {
+    throw std::invalid_argument("CarrierHub: packets_per_slot must be >= 1");
+  }
+  // Distance jumps and brownouts are two-endpoint braid events with no
+  // meaning on a shared-carrier hub.
+  if (config.impairments != nullptr) {
+    using sim::faults::FaultKind;
+    config.impairments->require_honoured(
+        {FaultKind::Shadowing, FaultKind::Interferer,
+         FaultKind::CarrierDropout, FaultKind::FadeBurst},
+        "CarrierHub");
+  }
 }
+
+}  // namespace
 
 double HubStats::delivered_total() const {
   double sum = 0.0;
@@ -29,12 +51,7 @@ double HubStats::hub_joules_per_bit(std::size_t payload_bytes) const {
 CarrierHub::CarrierHub(const RegimeMap& regimes, HubConfig config,
                        std::vector<HubNodeConfig> nodes)
     : regimes_(regimes), config_(config), node_configs_(std::move(nodes)) {
-  if (node_configs_.empty()) {
-    throw std::invalid_argument("CarrierHub: need at least one node");
-  }
-  if (config_.packets_per_slot == 0) {
-    throw std::invalid_argument("CarrierHub: packets_per_slot must be >= 1");
-  }
+  validate(config_, node_configs_);
 }
 
 CarrierHub::CarrierHub(const hal::RadioBackend& backend, HubConfig config,
@@ -43,12 +60,7 @@ CarrierHub::CarrierHub(const hal::RadioBackend& backend, HubConfig config,
       backend_(&backend),
       config_(config),
       node_configs_(std::move(nodes)) {
-  if (node_configs_.empty()) {
-    throw std::invalid_argument("CarrierHub: need at least one node");
-  }
-  if (config_.packets_per_slot == 0) {
-    throw std::invalid_argument("CarrierHub: packets_per_slot must be >= 1");
-  }
+  validate(config_, node_configs_);
 }
 
 std::unique_ptr<hal::IRadio> CarrierHub::make_radio(
@@ -118,9 +130,8 @@ HubStats CarrierHub::run(std::uint64_t rounds) {
   stats.nodes.reserve(states.size());
 
   // Consume fault activation edges crossed since the last scan: the hub
-  // only traces/counts them (channel-level impairments are read by each
-  // node's PacketChannel at transmit time; DistanceJump/Brownout are
-  // braid-level events the hub documents but does not apply).
+  // only traces/counts them (the impairments themselves are read by each
+  // node's PacketChannel at transmit time).
   double faults_seen_to_s = -1.0;
   const auto scan_fault_edges = [&] {
     if (config_.impairments == nullptr) return;

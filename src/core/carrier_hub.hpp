@@ -44,8 +44,7 @@ struct HubConfig {
   /// impairments (shadowing, interference, dropout, fade bursts) hit every
   /// node's link identically — the hub's carrier is the shared medium.
   /// DistanceJump and Brownout events are two-endpoint concepts consumed
-  /// by BraidedLink; the hub traces their activation edges but does not
-  /// apply them.
+  /// by BraidedLink; construction rejects a schedule holding either.
   const sim::faults::ImpairmentSchedule* impairments = nullptr;
   std::uint64_t seed = 1;
 };
@@ -74,7 +73,9 @@ struct HubStats {
 class CarrierHub {
  public:
   /// Legacy braidio form: the map must come from the PowerTable/LinkBudget
-  /// ctor (hub and node radios are built from its table).
+  /// ctor (hub and node radios are built from its table). Both forms throw
+  /// std::invalid_argument on no nodes, a zero packets_per_slot, or a
+  /// distance/brownout fault (naming the first one).
   CarrierHub(const RegimeMap& regimes, HubConfig config,
              std::vector<HubNodeConfig> nodes);
 

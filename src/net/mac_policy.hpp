@@ -49,10 +49,14 @@ enum class AttemptDecision : std::uint8_t {
 };
 
 /// Policy counters surfaced into NetStats (zeros under plain CSMA).
+/// `rounds` comes from the policy; the other two are sums of the nodes'
+/// SlotRegistrations / SlotsReclaimed counters.
 struct MacPolicyStats {
   std::uint64_t rounds = 0;         ///< TDMA rounds planned
   std::uint64_t registrations = 0;  ///< successful hub registrations
   std::uint64_t slots_reclaimed = 0;  ///< slots freed by node death
+  friend bool operator==(const MacPolicyStats&,
+                         const MacPolicyStats&) = default;
 };
 
 /// The simulator surface a policy may touch. Implemented by
@@ -109,7 +113,7 @@ class MacPolicy {
   /// A policy-planted event (schedule_policy) fired.
   virtual void on_policy_event(MacContext& ctx, const Event& ev);
 
-  /// Export policy counters after the run.
+  /// Export policy-owned counters (TDMA rounds) after the run.
   virtual void finalize(MacPolicyStats& stats) const;
 };
 

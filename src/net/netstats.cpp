@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <iterator>
 #include <sstream>
 
 #include "util/contract.hpp"
@@ -22,6 +23,9 @@ const char* to_string(NodeCounter counter) {
     case NodeCounter::DropsArq: return "drops_arq";
     case NodeCounter::SlotRegistrations: return "slot_registrations";
     case NodeCounter::SlotsReclaimed: return "slots_reclaimed";
+    case NodeCounter::HopAcked: return "hop_acked";
+    case NodeCounter::HopDataLost: return "hop_data_lost";
+    case NodeCounter::HopAckLost: return "hop_ack_lost";
   }
   return "?";
 }
@@ -81,11 +85,7 @@ void NetFlightRecord::arm(const Topology& topo, double sched_bucket_s) {
 #if BRAIDIO_OBS_COMPILED
   BRAIDIO_REQUIRE(sched_bucket_s > 0.0, "sched_bucket_s", sched_bucket_s);
   enabled = true;
-  nodes.assign(topo.size(), NodeCounterBlock{});
-  links.assign(topo.size(), LinkRecord{});
-  for (std::size_t i = 0; i < topo.size(); ++i) {
-    links[i].dst = topo.next_hop[i];
-  }
+  links = topo.next_hop;
   latency = obs::HistogramData(
       obs::bucket_bounds(obs::Histogram::NetLatencySeconds));
   sched = SchedulerSeries{};
@@ -105,15 +105,9 @@ void NetFlightRecord::merge(const NetFlightRecord& other) {
   BRAIDIO_REQUIRE(nodes.size() == other.nodes.size(), "nodes",
                   nodes.size(), "other", other.nodes.size());
   for (std::size_t i = 0; i < nodes.size(); ++i) {
-    for (std::size_t c = 0; c < kNodeCounterCount; ++c) {
-      nodes[i].values[c] += other.nodes[i].values[c];
-    }
-    BRAIDIO_REQUIRE(links[i].dst == other.links[i].dst, "node", i,
-                    "dst", links[i].dst, "other", other.links[i].dst);
-    links[i].attempts += other.links[i].attempts;
-    links[i].acked += other.links[i].acked;
-    links[i].data_lost += other.links[i].data_lost;
-    links[i].ack_lost += other.links[i].ack_lost;
+    BRAIDIO_REQUIRE(links[i] == other.links[i], "node", i, "dst", links[i],
+                    "other", other.links[i]);
+    nodes[i].add(other.nodes[i]);
   }
   latency.merge(other.latency);
   sched.merge(other.sched);
@@ -139,6 +133,35 @@ void write_u64_array(std::ostringstream& os, const char* key,
   os << "]";
 }
 
+std::vector<std::uint64_t> column(const std::vector<NodeCounterBlock>& nodes,
+                                  NodeCounter counter) {
+  std::vector<std::uint64_t> values(nodes.size());
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    values[i] = nodes[i].value(counter);
+  }
+  return values;
+}
+
+/// kNoRoute renders as -1: stranded nodes have no uplink.
+void write_dst(std::ostringstream& os, std::uint32_t dst) {
+  if (dst == kNoRoute) {
+    os << -1;
+  } else {
+    os << dst;
+  }
+}
+
+/// The links matrix columns: attempts, then the three hop outcomes.
+struct LinkColumn {
+  const char* key;
+  NodeCounter counter;
+};
+constexpr LinkColumn kLinkColumns[] = {
+    {"attempts", NodeCounter::TxAttempts},
+    {"acked", NodeCounter::HopAcked},
+    {"data_lost", NodeCounter::HopDataLost},
+    {"ack_lost", NodeCounter::HopAckLost}};
+
 }  // namespace
 
 std::string NetFlightRecord::to_json() const {
@@ -150,41 +173,25 @@ std::string NetFlightRecord::to_json() const {
   os << "  \"elapsed_s\": " << plain_number(elapsed_s, 6) << ",\n";
 
   os << "  \"node_counters\": {\n";
-  for (std::size_t c = 0; c < kNodeCounterCount; ++c) {
-    std::vector<std::uint64_t> column(nodes.size());
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-      column[i] = nodes[i].values[c];
-    }
-    write_u64_array(os, to_string(static_cast<NodeCounter>(c)), column);
-    os << (c + 1 < kNodeCounterCount ? ",\n" : "\n");
+  for (std::size_t c = 0; c < kNodeColumnCount; ++c) {
+    const auto counter = static_cast<NodeCounter>(c);
+    write_u64_array(os, to_string(counter), column(nodes, counter));
+    os << (c + 1 < kNodeColumnCount ? ",\n" : "\n");
   }
   os << "  },\n";
 
   os << "  \"links\": {\n";
-  {
-    // kNoRoute renders as -1: stranded nodes have no uplink row.
-    os << "    \"dst\": [";
-    for (std::size_t i = 0; i < links.size(); ++i) {
-      if (i != 0) os << ", ";
-      if (links[i].dst == kNoRoute) {
-        os << -1;
-      } else {
-        os << links[i].dst;
-      }
-    }
-    os << "],\n";
-    std::vector<std::uint64_t> column(links.size());
-    const auto emit = [&](const char* key, auto member, bool last) {
-      for (std::size_t i = 0; i < links.size(); ++i) {
-        column[i] = links[i].*member;
-      }
-      write_u64_array(os, key, column);
-      os << (last ? "\n" : ",\n");
-    };
-    emit("attempts", &LinkRecord::attempts, false);
-    emit("acked", &LinkRecord::acked, false);
-    emit("data_lost", &LinkRecord::data_lost, false);
-    emit("ack_lost", &LinkRecord::ack_lost, true);
+  os << "    \"dst\": [";
+  for (std::size_t i = 0; i < links.size(); ++i) {
+    if (i != 0) os << ", ";
+    write_dst(os, links[i]);
+  }
+  os << "],\n";
+  constexpr std::size_t kLinkColumnCount = std::size(kLinkColumns);
+  for (std::size_t k = 0; k < kLinkColumnCount; ++k) {
+    write_u64_array(os, kLinkColumns[k].key,
+                    column(nodes, kLinkColumns[k].counter));
+    os << (k + 1 < kLinkColumnCount ? ",\n" : "\n");
   }
   os << "  },\n";
 
@@ -232,22 +239,21 @@ std::string NetFlightRecord::to_json() const {
 std::string NetFlightRecord::to_csv() const {
   std::ostringstream os;
   os << "node,dst";
-  for (std::size_t c = 0; c < kNodeCounterCount; ++c) {
+  for (std::size_t c = 0; c < kNodeColumnCount; ++c) {
     os << ',' << to_string(static_cast<NodeCounter>(c));
   }
-  os << ",link_attempts,link_acked,link_data_lost,link_ack_lost\n";
+  for (const LinkColumn& link : kLinkColumns) os << ",link_" << link.key;
+  os << '\n';
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     os << i << ',';
-    if (links[i].dst == kNoRoute) {
-      os << -1;
-    } else {
-      os << links[i].dst;
-    }
-    for (std::size_t c = 0; c < kNodeCounterCount; ++c) {
+    write_dst(os, links[i]);
+    for (std::size_t c = 0; c < kNodeColumnCount; ++c) {
       os << ',' << nodes[i].values[c];
     }
-    os << ',' << links[i].attempts << ',' << links[i].acked << ','
-       << links[i].data_lost << ',' << links[i].ack_lost << '\n';
+    for (const LinkColumn& link : kLinkColumns) {
+      os << ',' << nodes[i].value(link.counter);
+    }
+    os << '\n';
   }
   return os.str();
 }

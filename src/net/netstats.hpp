@@ -1,12 +1,17 @@
-// Network flight recorder: per-node counters, a per-link delivery/loss
-// matrix, end-to-end latency, and scheduler introspection for src/net/.
+// Network counter plane and flight recorder for src/net/.
 //
-// Three planes (DESIGN.md §17):
-//   * per-node counters — flat index-addressed blocks, one array slot
-//     per NodeCounter, no string hashing on the hot path (analyzer rule
-//     A7 enforces this for src/net/);
-//   * per-link matrix — every node has exactly one uplink hop toward
-//     the hub, so the matrix is one LinkRecord row per source node;
+// Counters (DESIGN.md §17): every Node holds one NodeCounterBlock, a flat
+// index-addressed array with one slot per NodeCounter. It is always on —
+// a post is one array bump, no string hashing (analyzer rule A7) — and it
+// is the only counter the event loop writes. NetStats, the TDMA totals
+// and the obs builtin counters are derived from index-ordered block sums
+// at the end of the run.
+//
+// The flight recorder adds what the blocks do not hold:
+//   * a copy of the blocks, plus each node's uplink next hop, so the
+//     per-link delivery/loss matrix renders from the hop-outcome
+//     counters (every node has exactly one uplink toward the hub);
+//   * end-to-end latency;
 //   * scheduler series — time-bucketed calendar-queue depth, events,
 //     width re-tunes, and insert scan cost, exported in the same
 //     Chrome counter-track shape as the energy power tracks.
@@ -15,9 +20,9 @@
 // merge() is element-wise and associative-in-order: SweepRunner-style
 // callers collect one record per sweep point and fold them in
 // flat-index order, which makes the merged record byte-identical for
-// any thread count. Everything is inert (enabled == false, all hooks
-// no-ops) unless arm() ran, and arm() itself is a no-op when the
-// BRAIDIO_OBS compile-time switch is off.
+// any thread count. The record is inert (enabled == false, empty) unless
+// arm() ran, and arm() itself is a no-op when the BRAIDIO_OBS
+// compile-time switch is off.
 #pragma once
 
 #include <array>
@@ -46,9 +51,17 @@ enum class NodeCounter : std::uint8_t {
   DropsArq,           // frames dropped: retry budget exhausted
   SlotRegistrations,  // TDMA registration exchanges completed
   SlotsReclaimed,     // TDMA slots reclaimed from this node
+  // Uplink hop outcomes, one per resolved transmission on the sender's
+  // row: they render as the links matrix, not as node counter columns.
+  HopAcked,     // hop completed (data and ACK survived)
+  HopDataLost,  // data leg corrupted or unheard
+  HopAckLost,   // data survived, ACK leg lost
 };
 
-inline constexpr std::size_t kNodeCounterCount = 11;
+inline constexpr std::size_t kNodeCounterCount = 14;
+/// Counters before HopAcked are the per-node columns of the exports.
+inline constexpr std::size_t kNodeColumnCount =
+    static_cast<std::size_t>(NodeCounter::HopAcked);
 
 /// Snake-case counter name (JSON key / CSV column).
 const char* to_string(NodeCounter counter);
@@ -57,23 +70,17 @@ const char* to_string(NodeCounter counter);
 struct NodeCounterBlock {
   std::array<std::uint64_t, kNodeCounterCount> values{};
 
-  void bump(NodeCounter counter, std::uint64_t n = 1) {
-    values[static_cast<std::size_t>(counter)] += n;
+  void bump(NodeCounter counter) {
+    ++values[static_cast<std::size_t>(counter)];
   }
   std::uint64_t value(NodeCounter counter) const {
     return values[static_cast<std::size_t>(counter)];
   }
-};
-
-/// One uplink hop (src -> next_hop[src]) of the delivery/loss matrix.
-/// `attempts` counts resolved transmissions; each failed one is
-/// attributed to exactly one of data_lost / ack_lost.
-struct LinkRecord {
-  std::uint32_t dst = kNoRoute;
-  std::uint64_t attempts = 0;   // transmissions resolved on this hop
-  std::uint64_t acked = 0;      // hop completed (data and ACK survived)
-  std::uint64_t data_lost = 0;  // data leg corrupted or unheard
-  std::uint64_t ack_lost = 0;   // data survived, ACK leg lost
+  void add(const NodeCounterBlock& other) {
+    for (std::size_t c = 0; c < kNodeCounterCount; ++c) {
+      values[c] += other.values[c];
+    }
+  }
 };
 
 /// Time-bucketed scheduler telemetry sampled once per popped event.
@@ -99,8 +106,12 @@ struct SchedulerSeries {
 /// The full flight record for one simulator run (or a merged sweep).
 struct NetFlightRecord {
   bool enabled = false;
+  // Per-node blocks, copied from the nodes at the end of the run, and
+  // each node's uplink next hop (kNoRoute when stranded). Together they
+  // are the links matrix: a row's attempts are the sender's TxAttempts,
+  // and each attempt resolves to exactly one Hop* outcome.
   std::vector<NodeCounterBlock> nodes;
-  std::vector<LinkRecord> links;
+  std::vector<std::uint32_t> links;
   obs::HistogramData latency;  // end-to-end origin->hub seconds
   SchedulerSeries sched;
 
@@ -115,31 +126,16 @@ struct NetFlightRecord {
   double sched_width_s = 0.0;          // bucket width at end of run
   double elapsed_s = 0.0;              // simulated span covered
 
-  /// Size the per-node blocks and link rows for `topo` and mark the
-  /// record live. No-op (record stays disabled) when BRAIDIO_OBS is
-  /// compiled out.
+  /// Take `topo`'s uplinks and mark the record live. No-op (record
+  /// stays disabled) when BRAIDIO_OBS is compiled out.
   void arm(const Topology& topo, double sched_bucket_s);
-
-  /// Attribute one resolved transmission to src's uplink row.
-  void link_attempt(std::uint32_t src, bool data_ok, bool acked) {
-    if (!enabled) return;
-    LinkRecord& link = links[src];
-    ++link.attempts;
-    if (acked) {
-      ++link.acked;
-    } else if (!data_ok) {
-      ++link.data_lost;
-    } else {
-      ++link.ack_lost;
-    }
-  }
 
   void note_delivery(double latency_s) {
     if (!enabled) return;
     latency.record(latency_s);
   }
 
-  /// Fold another run's record in (node/link shapes must match).
+  /// Fold another run's record in (node counts and uplinks must match).
   void merge(const NetFlightRecord& other);
 
   /// Deterministic JSON document (schema "braidio-netstats/v1").

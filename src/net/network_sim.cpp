@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -58,39 +57,6 @@ void trace_flow(obs::EventType type, const char* stage, std::uint32_t node,
 #endif
 }
 
-/// Fault kinds fault_loss_db() applies: extra loss and carrier dropout.
-/// Fade bursts, distance jumps and brownouts are pair-link concepts the
-/// network run would otherwise ignore silently.
-bool net_honours(sim::faults::FaultKind kind) {
-  switch (kind) {
-    case sim::faults::FaultKind::Shadowing:
-    case sim::faults::FaultKind::Interferer:
-    case sim::faults::FaultKind::CarrierDropout:
-      return true;
-    case sim::faults::FaultKind::FadeBurst:
-    case sim::faults::FaultKind::DistanceJump:
-    case sim::faults::FaultKind::Brownout:
-      return false;
-  }
-  return false;
-}
-
-/// Throws std::invalid_argument naming the first scripted fault the
-/// network simulator cannot honour: its index, kind and start time.
-void reject_unhonoured_faults(const sim::faults::ImpairmentSchedule& faults) {
-  const auto& events = faults.timeline().events();
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    if (net_honours(events[i].kind)) continue;
-    std::ostringstream msg;
-    msg << "net::NetworkSimulator: fault event " << i << " ("
-        << sim::faults::to_string(events[i].kind) << " at "
-        << events[i].start_s
-        << " s) is not supported; net honours shadowing, interferer and "
-           "dropout faults only";
-    throw std::invalid_argument(msg.str());
-  }
-}
-
 }  // namespace
 
 NetworkSimulator::NetworkSimulator(NetConfig config)
@@ -102,7 +68,13 @@ NetworkSimulator::NetworkSimulator(NetConfig config)
     throw std::invalid_argument("net::NetworkSimulator: payload too large");
   }
   if (config_.impairments != nullptr) {
-    reject_unhonoured_faults(*config_.impairments);
+    // fault_loss_db() applies extra loss and carrier dropout; fade bursts,
+    // distance jumps and brownouts are pair-link concepts.
+    using sim::faults::FaultKind;
+    config_.impairments->require_honoured(
+        {FaultKind::Shadowing, FaultKind::Interferer,
+         FaultKind::CarrierDropout},
+        "net::NetworkSimulator");
   }
   BRAIDIO_REQUIRE(config_.turnaround_s >= 0.0 &&
                       std::isfinite(config_.turnaround_s),
@@ -139,17 +111,7 @@ NetworkSimulator::NetworkSimulator(NetConfig config)
   policy_ = make_mac_policy(config_.mac, config_.tdma, total);
   plan_links();
 
-  if (config_.flight_recorder) {
-    record_.arm(topo_, config_.stats_bucket_s);
-    if (record_.enabled) {
-      // Wire each node to its flat counter block. record_ lives as long
-      // as the simulator and never resizes after arm(), so the pointers
-      // stay valid; the recorder reads nothing back until export.
-      for (std::size_t i = 0; i < total; ++i) {
-        nodes_[i].set_counters(&record_.nodes[i]);
-      }
-    }
-  }
+  if (config_.flight_recorder) record_.arm(topo_, config_.stats_bucket_s);
 }
 
 void NetworkSimulator::plan_links() {
@@ -361,10 +323,7 @@ void NetworkSimulator::handle_attempt(const Event& ev) {
     case AttemptDecision::Drop:
       // Channel-access failure: the policy's budget is gone, the frame
       // never made it onto the air.
-      ++stats_.csma_failures;
-      ++node.stats().csma_failures;
       node.count(NodeCounter::DropsAccess);
-      obs::count(obs::Counter::PacketsDropped);
       trace_flow(obs::EventType::PacketFlowEnd, "drop:access", ev.node,
                  now, t.packet_id);
       t.active = false;
@@ -391,10 +350,7 @@ void NetworkSimulator::handle_attempt(const Event& ev) {
   const double airtime =
       mac::PacketChannel::airtime_s(t.frame, plan.point.rate);
   ++t.attempts;
-  ++stats_.tx_attempts;
-  ++node.stats().tx_attempts;
   node.count(NodeCounter::TxAttempts);
-  obs::count(obs::Counter::PacketsTx);
   BRAIDIO_TRACE_EVENT(obs::EventType::PacketTx, "net", now,
                       static_cast<double>(ev.node));
   trace_flow(obs::EventType::PacketFlowStep, "air", ev.node, now,
@@ -459,19 +415,19 @@ void NetworkSimulator::handle_tx_end(const Event& ev) {
   }
 
   if (data_ok) {
-    obs::count(obs::Counter::PacketsRx);
     BRAIDIO_TRACE_EVENT(obs::EventType::PacketRx, "net", now,
                         static_cast<double>(t.dest));
   } else {
-    obs::count(obs::Counter::PacketsDropped);
     BRAIDIO_TRACE_EVENT(obs::EventType::PacketDrop, "net", now,
                         static_cast<double>(t.dest));
   }
 
-  // Flight recorder: the resolved attempt lands in the sender's uplink
-  // row, and a failed one is attributed to dropout or interference when
-  // either was present (read-only bookkeeping; no RNG, no schedule).
-  record_.link_attempt(ev.node, data_ok, acked);
+  // The resolved attempt lands in the sender's uplink row as exactly one
+  // hop outcome, and a failed one is attributed to dropout or
+  // interference when either was present (no RNG, no schedule).
+  node.count(acked     ? NodeCounter::HopAcked
+             : data_ok ? NodeCounter::HopAckLost
+                       : NodeCounter::HopDataLost);
   if (!acked) {
     if (dropout) {
       node.count(NodeCounter::FaultLosses);
@@ -485,16 +441,12 @@ void NetworkSimulator::handle_tx_end(const Event& ev) {
     return;
   }
   if (t.attempts > config_.max_retransmissions) {
-    ++stats_.arq_drops;
-    ++node.stats().arq_drops;
     node.count(NodeCounter::DropsArq);
-    obs::count(obs::Counter::ArqDrops);
     trace_flow(obs::EventType::PacketFlowEnd, "drop:arq", ev.node, now,
                t.packet_id);
     finish_transfer(node, false, done);
     return;
   }
-  obs::count(obs::Counter::ArqRetries);
   BRAIDIO_TRACE_EVENT(obs::EventType::ArqRetry, "net", now,
                       static_cast<double>(ev.node));
   policy_->on_tx_done(*this, ev.node, done);
@@ -507,10 +459,6 @@ void NetworkSimulator::finish_transfer(Node& node, bool acked,
   const double next = done_s + config_.turnaround_s;
   if (acked) {
     if (t.dest == 0) {
-      ++stats_.delivered;
-      ++nodes_[t.origin].stats().delivered;
-      stats_.delivered_payload_bits +=
-          static_cast<double>(t.frame.payload.size()) * 8.0;
       // Delivery is attributed to the ORIGIN node's counter block and
       // closes the packet's flow chain at the hub.
       nodes_[t.origin].count(NodeCounter::Delivered);
@@ -520,8 +468,6 @@ void NetworkSimulator::finish_transfer(Node& node, bool acked,
       trace_flow(obs::EventType::PacketFlowEnd, "ack hub", node.index(),
                  done_s, t.packet_id);
     } else {
-      ++stats_.forwarded;
-      ++node.stats().forwarded;
       node.count(NodeCounter::Relayed);
       trace_flow(obs::EventType::PacketFlowStep, "relay", t.dest, done_s,
                  t.packet_id);
@@ -551,8 +497,6 @@ NetStats NetworkSimulator::run() {
       node.enqueue(QueuedPacket{static_cast<std::uint32_t>(i),
                                 ++next_packet_id_, -1.0});
     }
-    stats_.generated += config_.packets_per_node;
-    node.stats().generated += config_.packets_per_node;
     const double start =
         config_.kick_spread_s > 0.0
             ? node.rng().uniform(0.0, config_.kick_spread_s)
@@ -626,8 +570,43 @@ NetStats NetworkSimulator::run() {
     record_.elapsed_s = stats_.elapsed_s;
   }
   policy_->finalize(stats_.mac);
+  derive_totals();
   obs::count(obs::Counter::NetEvents, stats_.events);
   return stats_;
+}
+
+void NetworkSimulator::derive_totals() {
+  NodeCounterBlock sum;
+  for (const Node& node : nodes_) sum.add(node.counters());
+  const auto total = [&](NodeCounter counter) { return sum.value(counter); };
+
+  stats_.generated = stats_.planned * config_.packets_per_node;
+  stats_.delivered = total(NodeCounter::Delivered);
+  stats_.forwarded = total(NodeCounter::Relayed);
+  stats_.tx_attempts = total(NodeCounter::TxAttempts);
+  stats_.csma_failures = total(NodeCounter::DropsAccess);
+  stats_.arq_drops = total(NodeCounter::DropsArq);
+  stats_.delivered_payload_bits = static_cast<double>(stats_.delivered) *
+                                  static_cast<double>(config_.payload_bytes) *
+                                  8.0;
+  stats_.mac.registrations = total(NodeCounter::SlotRegistrations);
+  stats_.mac.slots_reclaimed = total(NodeCounter::SlotsReclaimed);
+
+  // Every attempt resolves to one hop outcome; an un-acked one is either
+  // retried or dropped by ARQ.
+  const std::uint64_t acked = total(NodeCounter::HopAcked);
+  obs::count(obs::Counter::PacketsTx, stats_.tx_attempts);
+  obs::count(obs::Counter::PacketsRx, acked + total(NodeCounter::HopAckLost));
+  obs::count(obs::Counter::PacketsDropped,
+             stats_.csma_failures + total(NodeCounter::HopDataLost));
+  obs::count(obs::Counter::ArqRetries,
+             stats_.tx_attempts - acked - stats_.arq_drops);
+  obs::count(obs::Counter::ArqDrops, stats_.arq_drops);
+
+  if (record_.enabled) {
+    record_.nodes.reserve(nodes_.size());
+    for (const Node& node : nodes_) record_.nodes.push_back(node.counters());
+  }
 }
 
 void NetworkSimulator::emit_fault_activations(double now_s) {

@@ -100,18 +100,22 @@ struct NetConfig {
   /// events (`@<id>`) hit only that node's links. Only shadowing,
   /// interferer and dropout events are accepted (see the scope notes).
   const sim::faults::ImpairmentSchedule* impairments = nullptr;
-  /// Arm the flight recorder (net/netstats.hpp): per-node counter
-  /// blocks, the per-link matrix, latency, and the scheduler series.
-  /// Ignored (stays off) when BRAIDIO_OBS is compiled out.
+  /// Arm the flight recorder (net/netstats.hpp): a copy of the per-node
+  /// counter blocks with the uplinks they render the link matrix from,
+  /// latency, and the scheduler series. The counters themselves are
+  /// always on. Ignored (stays off) when BRAIDIO_OBS is compiled out.
   bool flight_recorder = false;
   /// Sim-time bucket for the recorder's scheduler series [s].
   double stats_bucket_s = 0.25;
 };
 
+/// End-of-run summary. The packet and MAC counts are index-ordered sums
+/// of the per-node counter blocks (Node::counters()); nothing here is
+/// posted per event except battery_deaths.
 struct NetStats {
   std::uint64_t events = 0;       // events the queue processed
   double elapsed_s = 0.0;         // final virtual time
-  std::uint64_t generated = 0;    // frames originated by tags
+  std::uint64_t generated = 0;    // planned * packets_per_node
   std::uint64_t delivered = 0;    // origin frames that reached the hub
   std::uint64_t forwarded = 0;    // relay hops completed
   std::uint64_t tx_attempts = 0;  // physical transmissions
@@ -138,6 +142,7 @@ struct NetStats {
   double bits_per_joule() const {
     return total_joules > 0.0 ? delivered_payload_bits / total_joules : 0.0;
   }
+  friend bool operator==(const NetStats&, const NetStats&) = default;
 };
 
 class NetworkSimulator final : public MacContext {
@@ -152,7 +157,7 @@ class NetworkSimulator final : public MacContext {
   NetStats run();
 
   const Topology& topology() const { return topo_; }
-  /// Post-run inspection: per-node stats, radio ledger/battery, CSMA
+  /// Post-run inspection: per-node counters, radio ledger/battery, CSMA
   /// state. Index 0 is the hub.
   const Node& node(std::uint32_t i) const;
   /// The (mode, rate) chosen for node i's uplink hop; nullopt when no
@@ -201,6 +206,10 @@ class NetworkSimulator final : public MacContext {
   void handle_attempt(const Event& ev);
   void handle_tx_end(const Event& ev);
   void finish_transfer(Node& node, bool acked, double now_s);
+  /// End of run: sum the node counter blocks in index order into
+  /// NetStats and the obs builtin counters, and hand the armed flight
+  /// record its copy of the blocks.
+  void derive_totals();
   /// Emit FaultActive trace events for scripted faults whose start time
   /// has been reached (cursor walk; O(1) amortized per event).
   void emit_fault_activations(double now_s);

@@ -5,10 +5,11 @@
 // deterministic RNG stream (stream index == node index, so contention
 // resolution never depends on sweep threading), its CSMA-CA state
 // machine, a relay queue of frame origins waiting to be forwarded toward
-// the hub, and the in-flight transfer the ARQ loop is currently
-// retrying. Everything the simulator mutates per event lives here; the
-// Node itself has no behavior beyond queue bookkeeping — protocol logic
-// stays in NetworkSimulator so it reads as one event loop.
+// the hub, the in-flight transfer the ARQ loop is currently retrying,
+// and its counter block — the one place a counted fact is posted
+// (net/netstats.hpp). Everything the simulator mutates per event lives
+// here; the Node itself has no behavior beyond queue bookkeeping —
+// protocol logic stays in NetworkSimulator so it reads as one event loop.
 #pragma once
 
 #include <cstdint>
@@ -19,19 +20,9 @@
 #include "mac/frame.hpp"
 #include "net/csma.hpp"
 #include "net/netstats.hpp"
-#include "obs/obs_config.hpp"
 #include "util/rng.hpp"
 
 namespace braidio::net {
-
-struct NodeStats {
-  std::uint64_t generated = 0;      // frames originated at this node
-  std::uint64_t delivered = 0;      // originated frames that reached the hub
-  std::uint64_t forwarded = 0;      // relayed frames passed one hop onward
-  std::uint64_t tx_attempts = 0;    // physical transmissions
-  std::uint64_t csma_failures = 0;  // channel-access failures (CCA budget)
-  std::uint64_t arq_drops = 0;      // retry budget exhausted
-};
 
 /// A frame waiting in a relay queue, carrying the identity the flight
 /// recorder threads from origin to hub: the originating node, a
@@ -68,29 +59,14 @@ class Node {
   const hal::IRadio& radio() const { return *radio_; }
   util::Rng& rng() { return rng_; }
   CsmaCa& csma() { return csma_; }
-  NodeStats& stats() { return stats_; }
-  const NodeStats& stats() const { return stats_; }
+  const NodeCounterBlock& counters() const { return counters_; }
   Transfer& transfer() { return transfer_; }
 
   bool alive() const { return alive_; }
   void set_alive(bool alive) { alive_ = alive; }
 
-  /// Point this node's flight-recorder counter block (nullptr = off).
-  /// The block must outlive the node's use of it; the simulator wires
-  /// blocks from its own NetFlightRecord after arming it.
-  void set_counters(NodeCounterBlock* block) { counters_ = block; }
-
-  /// Flight-recorder per-node counter post: one array increment when a
-  /// block is wired, a null check otherwise. Compiled out entirely when
-  /// BRAIDIO_OBS is off.
-  void count(NodeCounter counter, std::uint64_t n = 1) {
-#if BRAIDIO_OBS_COMPILED
-    if (counters_ != nullptr) counters_->bump(counter, n);
-#else
-    (void)counter;
-    (void)n;
-#endif
-  }
+  /// Post one counted fact: an array increment, always on.
+  void count(NodeCounter counter) { counters_.bump(counter); }
 
   /// FIFO of frames waiting at this node for their next hop.
   void enqueue(const QueuedPacket& packet);
@@ -104,11 +80,10 @@ class Node {
   std::unique_ptr<hal::IRadio> radio_;
   util::Rng rng_;
   CsmaCa csma_;
-  NodeStats stats_;
+  NodeCounterBlock counters_;
   Transfer transfer_;
   std::vector<QueuedPacket> queue_;
   std::size_t head_ = 0;
-  NodeCounterBlock* counters_ = nullptr;
   bool alive_ = true;
 };
 

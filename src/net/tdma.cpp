@@ -63,7 +63,6 @@ void ScheduledSlotMac::on_policy_event(MacContext& ctx, const Event& ev) {
       ++reg_attempts_[i];
       if (ctx.register_exchange(i)) {
         registered_[i] = 1;
-        ++registrations_;
         ctx.mac_node(i).count(NodeCounter::SlotRegistrations);
       } else {
         next_reg_s_[i] = ctx.now_s() + config_.reg_retry_s;
@@ -102,7 +101,6 @@ void ScheduledSlotMac::plan_round(MacContext& ctx) {
     if (registered_[i] == 0) continue;
     if (!ctx.mac_node(i).alive()) {
       registered_[i] = 0;
-      ++slots_reclaimed_;
       ctx.mac_node(i).count(NodeCounter::SlotsReclaimed);
       continue;
     }
@@ -126,8 +124,6 @@ void ScheduledSlotMac::plan_round(MacContext& ctx) {
 
 void ScheduledSlotMac::finalize(MacPolicyStats& stats) const {
   stats.rounds = rounds_;
-  stats.registrations = registrations_;
-  stats.slots_reclaimed = slots_reclaimed_;
 }
 
 }  // namespace braidio::net

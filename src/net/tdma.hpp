@@ -65,8 +65,6 @@ class ScheduledSlotMac final : public MacPolicy {
   // Post-run introspection (tests).
   bool is_registered(std::uint32_t i) const { return registered_[i] != 0; }
   std::uint64_t rounds() const { return rounds_; }
-  std::uint64_t registrations() const { return registrations_; }
-  std::uint64_t slots_reclaimed() const { return slots_reclaimed_; }
 
  private:
   // Payloads on the policy-event channel.
@@ -83,8 +81,6 @@ class ScheduledSlotMac final : public MacPolicy {
   std::vector<double> next_reg_s_;
   bool armed_ = false;
   std::uint64_t rounds_ = 0;
-  std::uint64_t registrations_ = 0;
-  std::uint64_t slots_reclaimed_ = 0;
 };
 
 }  // namespace braidio::net

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
+#include <stdexcept>
 
 #include "util/contract.hpp"
 
@@ -12,6 +14,29 @@ ImpairmentSchedule::ImpairmentSchedule(FaultTimeline timeline,
     : timeline_(std::move(timeline)), config_(config) {
   BRAIDIO_REQUIRE(std::isfinite(config_.noise_floor_dbm), "noise_floor_dbm",
                   config_.noise_floor_dbm);
+}
+
+void ImpairmentSchedule::require_honoured(
+    std::initializer_list<FaultKind> honoured,
+    std::string_view consumer) const {
+  const auto& events = timeline_.events();
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    if (std::find(honoured.begin(), honoured.end(), events[i].kind) !=
+        honoured.end()) {
+      continue;
+    }
+    std::ostringstream msg;
+    msg << consumer << ": fault event " << i << " ("
+        << to_string(events[i].kind) << " at " << events[i].start_s
+        << " s) is not supported; it honours";
+    const char* sep = " ";
+    for (const FaultKind kind : honoured) {
+      msg << sep << to_string(kind);
+      sep = ", ";
+    }
+    msg << " faults only";
+    throw std::invalid_argument(msg.str());
+  }
 }
 
 double ImpairmentSchedule::interferer_penalty_db(

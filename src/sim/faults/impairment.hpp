@@ -13,7 +13,9 @@
 // interfered by in-band signal" cost made quantitative.
 #pragma once
 
+#include <initializer_list>
 #include <optional>
+#include <string_view>
 #include <vector>
 
 #include "rf/interference.hpp"
@@ -55,6 +57,13 @@ class ImpairmentSchedule {
 
   const FaultTimeline& timeline() const { return timeline_; }
   bool empty() const { return timeline_.empty(); }
+
+  /// For a consumer that applies only the `honoured` kinds: throws
+  /// std::invalid_argument naming the first other event — its index in
+  /// the start-sorted timeline (which keeps no line numbers), kind and
+  /// start time — prefixed by `consumer`.
+  void require_honoured(std::initializer_list<FaultKind> honoured,
+                        std::string_view consumer) const;
 
   /// Superposed impairment at sim time t. Pure function of (timeline, t):
   /// safe to call concurrently from sweep workers. Applies EVERY event

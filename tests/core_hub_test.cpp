@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
+#include "sim/faults/fault_timeline.hpp"
+#include "sim/faults/impairment.hpp"
+
 namespace braidio::core {
 namespace {
 
@@ -119,6 +125,53 @@ TEST(CarrierHub, Validation) {
   CarrierHub out_of_range(rig.regimes, {},
                           {{"moon", 0.5, 40.0, 0.0, 24}});
   EXPECT_THROW(out_of_range.run(1), std::runtime_error);
+}
+
+TEST(CarrierHub, RejectsFaultKindsItCannotHonour) {
+  // Distance jumps and brownouts are two-endpoint braid faults: the hub
+  // must refuse them, naming the first offender, rather than run as if
+  // they were not there. Channel faults, fade bursts included, apply.
+  struct Case {
+    const char* line;
+    const char* kind;
+    const char* start;
+  };
+  const Case cases[] = {{"brownout 0.01 1000 both", "brownout", "0.01"},
+                        {"distance 0.02 50", "distance", "0.02"}};
+  Rig rig;
+  for (const Case& c : cases) {
+    // The accepted fade sorts first, so the offender is event 1; a second
+    // offender later in the script must not be the one named.
+    std::istringstream script(std::string("fade 0 0.5 10\n") + c.line +
+                              "\nbrownout 9 1 a\n");
+    std::string error;
+    const auto timeline = sim::faults::FaultTimeline::parse(script, &error);
+    ASSERT_TRUE(timeline.has_value()) << error;
+    const sim::faults::ImpairmentSchedule schedule(*timeline);
+    HubConfig cfg;
+    cfg.impairments = &schedule;
+    try {
+      CarrierHub hub(rig.regimes, cfg, three_sensors());
+      ADD_FAILURE() << "accepted " << c.line;
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("fault event 1"), std::string::npos) << what;
+      EXPECT_NE(what.find(std::string("(") + c.kind + " at " + c.start),
+                std::string::npos)
+          << what;
+    }
+  }
+
+  std::istringstream honoured(
+      "shadowing 0 1 3\ninterferer 0 1 -50\ndropout 0 1\nfade 0 1 10\n");
+  std::string error;
+  const auto timeline = sim::faults::FaultTimeline::parse(honoured, &error);
+  ASSERT_TRUE(timeline.has_value()) << error;
+  const sim::faults::ImpairmentSchedule schedule(*timeline);
+  HubConfig cfg;
+  cfg.impairments = &schedule;
+  CarrierHub hub(rig.regimes, cfg, three_sensors());
+  EXPECT_EQ(hub.run(2).fault_activations, 4u);
 }
 
 }  // namespace

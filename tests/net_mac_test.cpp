@@ -158,8 +158,8 @@ TEST(ScheduledSlotMac, RegistrationRidesOutTargetedDropout) {
   NetworkSimulator sim(config);
   const NetStats stats = sim.run();
   EXPECT_EQ(stats.mac.registrations, 2u);
-  EXPECT_EQ(sim.node(1).stats().delivered, 2u);
-  EXPECT_EQ(sim.node(2).stats().delivered, 2u);
+  EXPECT_EQ(sim.node(1).counters().value(NodeCounter::Delivered), 2u);
+  EXPECT_EQ(sim.node(2).counters().value(NodeCounter::Delivered), 2u);
   EXPECT_GT(stats.elapsed_s, 0.3);  // the run really waited the fault out
 }
 
@@ -183,8 +183,8 @@ TEST(ScheduledSlotMac, PermanentDropoutIsBoundedAndIsolated) {
   NetworkSimulator sim(config);
   const NetStats stats = sim.run();
   EXPECT_EQ(stats.mac.registrations, 1u);
-  EXPECT_EQ(sim.node(1).stats().delivered, 0u);
-  EXPECT_EQ(sim.node(2).stats().delivered, 2u);
+  EXPECT_EQ(sim.node(1).counters().value(NodeCounter::Delivered), 0u);
+  EXPECT_EQ(sim.node(2).counters().value(NodeCounter::Delivered), 2u);
   const auto& policy = dynamic_cast<const ScheduledSlotMac&>(sim.mac_policy());
   EXPECT_FALSE(policy.is_registered(1));
   EXPECT_TRUE(policy.is_registered(2));

@@ -257,7 +257,7 @@ TEST(NetworkSimulator, DeliversOnAQuietStar) {
   EXPECT_GT(stats.bits_per_joule(), 0.0);
   for (std::uint32_t i = 1; i < 5; ++i) {
     EXPECT_TRUE(sim.link_point(i).has_value());
-    EXPECT_EQ(sim.node(i).stats().delivered, 2u);
+    EXPECT_EQ(sim.node(i).counters().value(NodeCounter::Delivered), 2u);
   }
 }
 
@@ -371,8 +371,9 @@ TEST(NetworkSimulator, NodeTargetedFaultsHitOnlyTheirNode) {
   config.impairments = &schedule;
   NetworkSimulator sim(config);
   const NetStats stats = sim.run();
-  EXPECT_EQ(sim.node(1).stats().delivered, 0u);  // dropout eats every try
-  EXPECT_EQ(sim.node(2).stats().delivered, 2u);
+  // The dropout eats every one of tag 1's tries.
+  EXPECT_EQ(sim.node(1).counters().value(NodeCounter::Delivered), 0u);
+  EXPECT_EQ(sim.node(2).counters().value(NodeCounter::Delivered), 2u);
   EXPECT_EQ(stats.arq_drops, 2u);  // both of tag 1's frames timed out
 }
 

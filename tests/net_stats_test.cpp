@@ -84,15 +84,18 @@ TEST(NetFlightRecorder, CountersReconcileWithNetStats) {
 
   // Every resolved transmission lands in exactly one uplink row, and
   // every failure is attributed to exactly one loss leg.
-  std::uint64_t attempts = 0, acked = 0, lost = 0;
-  for (const auto& link : record.links) {
-    attempts += link.attempts;
-    acked += link.acked;
-    lost += link.data_lost + link.ack_lost;
-    EXPECT_EQ(link.attempts, link.acked + link.data_lost + link.ack_lost);
+  for (std::size_t i = 0; i < record.nodes.size(); ++i) {
+    const NodeCounterBlock& block = record.nodes[i];
+    EXPECT_EQ(block.value(NodeCounter::TxAttempts),
+              block.value(NodeCounter::HopAcked) +
+                  block.value(NodeCounter::HopDataLost) +
+                  block.value(NodeCounter::HopAckLost));
+    EXPECT_EQ(record.links[i], sim.topology().next_hop[i]);
   }
-  EXPECT_EQ(attempts, stats.tx_attempts);
-  EXPECT_EQ(acked + lost, attempts);
+  EXPECT_EQ(node_sum(record, NodeCounter::HopAcked) +
+                node_sum(record, NodeCounter::HopDataLost) +
+                node_sum(record, NodeCounter::HopAckLost),
+            stats.tx_attempts);
 
   // Scheduler plane: the series covers every pop (or counts it skipped),
   // and the end-of-run summary mirrors NetStats.
@@ -112,6 +115,58 @@ TEST(NetFlightRecorder, CountersReconcileWithNetStats) {
   const std::string csv = record.to_csv();
   const auto rows = std::count(csv.begin(), csv.end(), '\n');
   EXPECT_EQ(static_cast<std::size_t>(rows), record.nodes.size() + 1);
+}
+
+// The obs builtin counters are derived from the node counter blocks at
+// the end of the run, posted once each. A dense CSMA grid with one tag
+// under a run-long dropout gets access drops, ARQ drops and retries.
+TEST(NetFlightRecorder, ObsCountersDeriveFromNodeCounters) {
+  std::istringstream script("dropout 0 1e6 @5\n");
+  std::string error;
+  const auto timeline = sim::faults::FaultTimeline::parse(script, &error);
+  ASSERT_TRUE(timeline.has_value()) << error;
+  const sim::faults::ImpairmentSchedule schedule(*timeline);
+
+  NetConfig cfg;
+  cfg.backend = &backend();
+  cfg.topology.kind = TopologyKind::Grid;
+  cfg.topology.nodes = 48;
+  cfg.topology.extent_m = 2.0;
+  cfg.packets_per_node = 4;
+  cfg.impairments = &schedule;
+
+  const bool metrics_were_on = obs::metrics_enabled();
+  obs::set_metrics_enabled(true);
+  obs::MetricsRegistry registry;
+  NetStats stats;
+  std::uint64_t acked = 0, ack_lost = 0, data_lost = 0;
+  {
+    obs::ScopedMetrics scoped(&registry);
+    cfg.flight_recorder = true;
+    NetworkSimulator sim(cfg);
+    stats = sim.run();
+    const NetFlightRecord& record = sim.flight_record();
+    acked = node_sum(record, NodeCounter::HopAcked);
+    ack_lost = node_sum(record, NodeCounter::HopAckLost);
+    data_lost = node_sum(record, NodeCounter::HopDataLost);
+  }
+  obs::set_metrics_enabled(metrics_were_on);
+
+  ASSERT_GT(stats.csma_failures, 0u);
+  ASSERT_GT(stats.arq_drops, 0u);
+  const std::uint64_t retries = stats.tx_attempts - acked - stats.arq_drops;
+  ASSERT_GT(retries, 0u);
+  EXPECT_EQ(registry.value(obs::Counter::PacketsTx), stats.tx_attempts);
+  EXPECT_EQ(registry.value(obs::Counter::PacketsRx), acked + ack_lost);
+  EXPECT_EQ(registry.value(obs::Counter::PacketsDropped),
+            stats.csma_failures + data_lost);
+  EXPECT_EQ(registry.value(obs::Counter::ArqRetries), retries);
+  EXPECT_EQ(registry.value(obs::Counter::ArqDrops), stats.arq_drops);
+
+  // Arming the recorder changes what is exported, never what is counted.
+  cfg.flight_recorder = false;
+  NetworkSimulator plain(cfg);
+  EXPECT_EQ(plain.run(), stats);
 }
 
 // ISSUE 10 pin: per-node stats merged in flat-index order are

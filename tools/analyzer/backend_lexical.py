@@ -3,10 +3,8 @@
 Builds the SourceModel without a compiler: comments/strings are blanked
 with exact byte positions, lexical brace scopes drive the
 BRAIDIO_ENERGY_SPAN containment check, and function definitions are
-recovered with a parenthesis-matching scan. This is the fallback (and,
-in containers without libclang, the primary) frontend; the rules are
-written against the model, so swapping in the AST backend changes
-precision, not behavior.
+recovered with a parenthesis-matching scan. This is the analyzer's only
+frontend; rules.py reads only the SourceModel it builds.
 """
 
 from __future__ import annotations

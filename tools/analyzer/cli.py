@@ -17,10 +17,9 @@ import sys
 from pathlib import Path
 
 import backend_lexical
-import backend_libclang
 import rules
 import sarif
-from model import RULES, SourceModel
+from model import RULES
 
 REPO = Path(__file__).resolve().parent.parent.parent
 CXX_SUFFIXES = {".cpp", ".hpp"}
@@ -60,19 +59,6 @@ def _tu_paths(compile_commands: Path | None,
     return sorted(files)
 
 
-def build_models(paths: list[Path], backend: str) -> tuple[
-        list[SourceModel], str]:
-    if backend == "auto":
-        backend = ("libclang" if backend_libclang.available()
-                   else "lexical")
-    if backend == "libclang" and not backend_libclang.available():
-        raise SystemExit("analyzer: libclang backend requested but "
-                         "clang.cindex is not importable")
-    builder = (backend_libclang.build_model if backend == "libclang"
-               else backend_lexical.build_model)
-    return [builder(path, REPO) for path in paths], backend
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="tools/analyzer",
@@ -81,9 +67,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="files or directories (default: src/)")
     parser.add_argument("--compile-commands", type=Path, default=None,
                         help="compile_commands.json to enumerate TUs")
-    parser.add_argument("--backend",
-                        choices=("auto", "lexical", "libclang"),
-                        default="auto")
     parser.add_argument("--json", type=Path, default=None,
                         help="write machine-readable findings JSON")
     parser.add_argument("--sarif", type=Path, default=None,
@@ -107,24 +90,23 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         paths = _tu_paths(args.compile_commands, roots)
-        models, backend = build_models(paths, args.backend)
+        models = [backend_lexical.build_model(path, REPO)
+                  for path in paths]
     except SystemExit as error:
         print(error, file=sys.stderr)
         return 2
     findings = rules.run_all(models)
 
     if args.json is not None:
-        args.json.write_text(sarif.to_json(findings, backend,
-                                           len(models)))
+        args.json.write_text(sarif.to_json(findings, len(models)))
     if args.sarif is not None:
-        args.sarif.write_text(sarif.to_sarif(findings, backend))
+        args.sarif.write_text(sarif.to_sarif(findings))
 
     for finding in findings:
         print(finding.render())
     if findings:
-        print(f"\ntools/analyzer [{backend}]: {len(findings)} "
+        print(f"\ntools/analyzer: {len(findings)} "
               f"finding(s) in {len(models)} file(s)", file=sys.stderr)
         return 1
-    print(f"tools/analyzer [{backend}]: clean "
-          f"({len(models)} files)")
+    print(f"tools/analyzer: clean ({len(models)} files)")
     return 0

@@ -5,8 +5,7 @@ while preserving byte positions (so line/column math stays exact),
 records every comment for suppression parsing, and provides small
 structural helpers (matching parentheses, splitting top-level argument
 lists). The lexical backend builds its scope and function models on
-top of these primitives; the libclang backend, when available, replaces
-them with real AST nodes.
+top of these primitives.
 """
 
 from __future__ import annotations

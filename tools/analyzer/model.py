@@ -1,7 +1,7 @@
 """Shared data model: findings, rules, and the per-file source model.
 
-Both backends (lexical, libclang) produce the same ``SourceModel`` so
-the rules in rules.py never care which frontend parsed the file.
+The lexical backend produces a ``SourceModel`` per file, and the rules
+in rules.py read only the model, never the frontend that parsed it.
 """
 
 from __future__ import annotations
