@@ -1,38 +1,48 @@
 // Extension: carrier amortization across a fleet of tags.
 //
-// One hub carrier serving N backscatter nodes in TDMA: the hub's J/bit
-// stays flat while the served traffic scales with N — the per-*node* cost
-// of the asymmetric architecture goes to the tag floor.
+// One hub carrier serving N backscatter tags in hub-assigned TDMA slots
+// (net::ScheduledSlotMac on a braidio star): the hub's J/bit stays flat
+// while the served traffic scales with N — the per-*tag* cost of the
+// asymmetric architecture goes to the tag floor. Every tag kicks at t = 0,
+// so all of them register in the first round.
 #include <iostream>
+#include <string>
 
+#include "backends/backends.hpp"
 #include "bench_common.hpp"
-#include "core/carrier_hub.hpp"
+#include "net/network_sim.hpp"
 #include "util/table.hpp"
 
 int main() {
   using namespace braidio;
   bench::header("Extension", "One carrier, many tags (TDMA hub)");
 
-  core::PowerTable table;
-  phy::LinkBudget budget;
-  core::RegimeMap regimes(table, budget);
+  backends::register_all();
+  const hal::RadioBackend& backend =
+      hal::BackendRegistry::instance().get(backends::kBraidio);
 
-  util::TablePrinter out({"nodes", "delivered", "hub J/bit", "mean node J",
+  util::TablePrinter out({"nodes", "delivered", "hub J/bit", "mean tag J",
                           "elapsed [s]"});
   for (std::size_t n : {1u, 2u, 4u, 8u}) {
-    std::vector<core::HubNodeConfig> nodes;
-    for (std::size_t i = 0; i < n; ++i) {
-      nodes.push_back({"tag" + std::to_string(i), 0.5,
-                       0.5 + 0.04 * static_cast<double>(i), 0.0, 24});
-    }
-    core::CarrierHub hub(regimes, {}, nodes);
-    const auto stats = hub.run(50);
+    net::NetConfig config;
+    config.backend = &backend;
+    config.mac = net::MacKind::Tdma;
+    config.topology.nodes = n;
+    config.topology.extent_m = 0.8;  // Regime A: every tag backscatters
+    config.packets_per_node = 400;
+    config.kick_spread_s = 0.0;
+    net::NetworkSimulator sim(config);
+    const net::NetStats stats = sim.run();
     double node_j = 0.0;
-    for (const auto& s : stats.nodes) node_j += s.node_joules;
-    node_j /= static_cast<double>(stats.nodes.size());
+    for (std::size_t i = 1; i < stats.node_joules.size(); ++i) {
+      node_j += stats.node_joules[i];
+    }
+    node_j /= static_cast<double>(n);
     out.add_row({std::to_string(n),
-                 util::format_engineering(stats.delivered_total(), 4),
-                 util::format_scientific(stats.hub_joules_per_bit(24), 3),
+                 util::format_engineering(
+                     static_cast<double>(stats.delivered), 4),
+                 util::format_scientific(
+                     stats.hub_joules / stats.delivered_payload_bits, 3),
                  util::format_scientific(node_j, 3),
                  util::format_fixed(stats.elapsed_s, 2)});
   }

@@ -14,8 +14,8 @@
 // carrier-sense sample, a registration exchange, and event scheduling.
 // The context never exposes the medium or the queue directly, so a
 // policy cannot bypass the physics, and the analyzer's layering rule
-// keeps net/ policies from reaching into core/ (the CarrierHub slot
-// convention is *ported* here, not included).
+// keeps net/ policies from reaching into core/ (they depend on hal/ and
+// mac/ only).
 //
 // Determinism contract: a policy may draw randomness only from the
 // handled node's own stream (node.rng()), and must iterate node sets in

@@ -397,7 +397,7 @@ void NetworkSimulator::handle_tx_end(const Event& ev) {
     data_ok = node.rng().bernoulli(p_data);
     if (data_ok) {
       // Ack leg: turnaround then a bare Ack frame at the same operating
-      // point, roles held at both ends (the CarrierHub convention).
+      // point, roles held at both ends (one turnaround per exchange).
       mac::Frame ack;
       ack.type = mac::FrameType::Ack;
       const double ack_air =

@@ -1,11 +1,11 @@
 // analyzer-path: src/net/fixture_policy_includes_core.cpp
 // Known-bad fixture: a net/ MAC policy depending on core/. The
-// scheduled-slot policy *ports* the CarrierHub slot convention into
-// net/tdma; pulling core/ headers in directly would couple the
-// many-node simulator to the two-endpoint session layer.
+// scheduled-slot policy plans from hal/ capabilities and the channel
+// model; pulling core/ headers in directly would couple the many-node
+// simulator to the two-endpoint session layer.
 
 // expect: A5-layering
-#include "core/carrier_hub.hpp"
+#include "core/offload.hpp"
 
 // No finding when the dependency is explicitly justified:
 // analyzer: layering(fixture demonstrates a documented waiver)

@@ -56,8 +56,8 @@ _REQUIRE_RE = re.compile(r"\bBRAIDIO_(?:REQUIRE|ENSURE)\b")
 # --- A5: layering ----------------------------------------------------
 
 # Directory -> (banned-layer regex, why). mac/ sits below the radio HAL;
-# net/ MAC policies *port* core/ conventions (CarrierHub slots) but must
-# not include them — both talk to drivers only through hal/.
+# net/ and core/ are sibling simulators over hal/ and mac/ (the N-node
+# event loop and the two-endpoint braid), so neither includes the other.
 _A5_LAYERS = {
     "src/mac/": (
         re.compile(r'^\s*#\s*include\s*"((phy|core)/[^"]*)"'),
@@ -66,8 +66,13 @@ _A5_LAYERS = {
     ),
     "src/net/": (
         re.compile(r'^\s*#\s*include\s*"((core)/[^"]*)"'),
-        "net/ MAC policies port the {layer}/ conventions (CarrierHub "
-        "slots) rather than include them; depend on hal/ and mac/ only",
+        "the many-node simulator must not depend on the two-endpoint "
+        "{layer}/ session layer; depend on hal/ and mac/ only",
+    ),
+    "src/core/": (
+        re.compile(r'^\s*#\s*include\s*"((net)/[^"]*)"'),
+        "the two-endpoint session layer must not depend on the "
+        "many-node {layer}/ simulator; share code through a lower layer",
     ),
 }
 
@@ -201,8 +206,8 @@ def check_units_discipline(model: SourceModel) -> list[Finding]:
 
 
 def check_layering(model: SourceModel) -> list[Finding]:
-    """A5: layer boundaries — mac/ may not include phy/ or core/, and
-    net/ may not include core/.
+    """A5: layer boundaries — mac/ may not include phy/ or core/,
+    net/ may not include core/, and core/ may not include net/.
 
     Include paths live inside string literals, which the blanker erases,
     so the directive is matched on the raw line; the blanked line is
