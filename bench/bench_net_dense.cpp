@@ -9,10 +9,12 @@
 //
 // `--mac=` selects the channel-access policy and with it the story:
 //   csma (default) — uncoordinated CSMA-CA. The delivery ratio is
-//       intentionally terrible: carrier sensing cannot hear -76 dBm
-//       backscatter reflections, so the dense deployment collapses (see
-//       DESIGN.md §15) — maximal contention, maximal event churn, a good
-//       scheduler stress test. Telemetry: BENCH_net_dense.json.
+//       intentionally terrible: the aggregate of ~31 concurrent
+//       backscatter reflections keeps almost every CCA sample busy, so
+//       tags exhaust their access budget and the deployment collapses
+//       (CCA saturation, DESIGN.md §15) — maximal contention, maximal
+//       event churn, a good scheduler stress test. Telemetry:
+//       BENCH_net_dense.json.
 //   tdma — the hub assigns slots (DESIGN.md §16): one transmission on
 //       the air at a time, so the same 10k tags deliver instead of
 //       colliding. Telemetry: BENCH_net_tdma.json.
@@ -138,18 +140,18 @@ int main(int argc, char** argv) {
        {"sched_grows", grows},
        {"sched_peak_depth", peak_depth}});
 
-  report.check("scheduler throughput",
-               tdma ? ">= 100k events/sec" : ">= 1M events/sec",
-               util::format_engineering(events_per_second, 4) +
-                   "events/sec (" + std::to_string(out.threads_used()) +
-                   " threads)");
+  // The paper makes no event-rate claim: the rate is measured only.
+  report.note("scheduler throughput: " +
+              util::format_engineering(events_per_second, 4) +
+              "events/sec (" + std::to_string(out.threads_used()) +
+              " threads)");
   if (tdma) {
     report.check("dense delivery", "> 90% (hub-assigned slots)",
                  util::format_engineering(delivery_pct, 4) + "%");
     report.check("dense goodput", "no collapse",
                  util::format_engineering(bits_per_joule, 4) + "bits/J");
   } else {
-    report.check("dense goodput", "collapse (CCA deaf to backscatter)",
+    report.check("dense goodput", "collapse (CCA saturation)",
                  util::format_engineering(bits_per_joule, 4) + "bits/J");
   }
   report.note("events/sec = sum(net_events) / sweep wall time; the "

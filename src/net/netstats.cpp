@@ -1,12 +1,10 @@
 #include "net/netstats.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
-#include <iterator>
 #include <sstream>
 
 #include "util/contract.hpp"
+#include "util/json.hpp"
 
 namespace braidio::net {
 
@@ -29,18 +27,6 @@ const char* to_string(NodeCounter counter) {
   }
   return "?";
 }
-
-namespace {
-
-/// Fixed-decimal rendering: no exponents, no locale surprises, stable
-/// bytes for the serial-vs-parallel identity.
-std::string plain_number(double v, int decimals) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.*f", decimals, v);
-  return buf;
-}
-
-}  // namespace
 
 void SchedulerSeries::sample(double sim_s, std::uint64_t depth,
                              std::uint64_t retune_delta,
@@ -123,16 +109,6 @@ void NetFlightRecord::merge(const NetFlightRecord& other) {
 
 namespace {
 
-void write_u64_array(std::ostringstream& os, const char* key,
-                     const std::vector<std::uint64_t>& values) {
-  os << "    \"" << key << "\": [";
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i != 0) os << ", ";
-    os << values[i];
-  }
-  os << "]";
-}
-
 std::vector<std::uint64_t> column(const std::vector<NodeCounterBlock>& nodes,
                                   NodeCounter counter) {
   std::vector<std::uint64_t> values(nodes.size());
@@ -143,12 +119,8 @@ std::vector<std::uint64_t> column(const std::vector<NodeCounterBlock>& nodes,
 }
 
 /// kNoRoute renders as -1: stranded nodes have no uplink.
-void write_dst(std::ostringstream& os, std::uint32_t dst) {
-  if (dst == kNoRoute) {
-    os << -1;
-  } else {
-    os << dst;
-  }
+std::int64_t dst_id(std::uint32_t dst) {
+  return dst == kNoRoute ? -1 : static_cast<std::int64_t>(dst);
 }
 
 /// The links matrix columns: attempts, then the three hop outcomes.
@@ -165,75 +137,49 @@ constexpr LinkColumn kLinkColumns[] = {
 }  // namespace
 
 std::string NetFlightRecord::to_json() const {
-  std::ostringstream os;
-  os << "{\n  \"schema\": \"braidio-netstats/v1\",\n";
-  os << "  \"enabled\": " << (enabled ? "true" : "false") << ",\n";
-  os << "  \"nodes\": " << nodes.size() << ",\n";
-  os << "  \"events\": " << events << ",\n";
-  os << "  \"elapsed_s\": " << plain_number(elapsed_s, 6) << ",\n";
+  util::json::Writer w;
+  w.begin_object().key("schema").value("braidio-netstats/v1");
+  w.key("enabled").value(enabled).key("nodes").value(nodes.size());
+  w.key("events").value(events).key("elapsed_s").fixed(elapsed_s, 6);
 
-  os << "  \"node_counters\": {\n";
+  w.key("node_counters").begin_object();
   for (std::size_t c = 0; c < kNodeColumnCount; ++c) {
     const auto counter = static_cast<NodeCounter>(c);
-    write_u64_array(os, to_string(counter), column(nodes, counter));
-    os << (c + 1 < kNodeColumnCount ? ",\n" : "\n");
+    w.key(to_string(counter)).array(column(nodes, counter));
   }
-  os << "  },\n";
+  w.end_object().key("links").begin_object().key("dst").begin_array();
+  for (const std::uint32_t dst : links) w.value(dst_id(dst));
+  w.end_array();
+  for (const LinkColumn& link : kLinkColumns) {
+    w.key(link.key).array(column(nodes, link.counter));
+  }
+  w.end_object();
 
-  os << "  \"links\": {\n";
-  os << "    \"dst\": [";
-  for (std::size_t i = 0; i < links.size(); ++i) {
-    if (i != 0) os << ", ";
-    write_dst(os, links[i]);
-  }
-  os << "],\n";
-  constexpr std::size_t kLinkColumnCount = std::size(kLinkColumns);
-  for (std::size_t k = 0; k < kLinkColumnCount; ++k) {
-    write_u64_array(os, kLinkColumns[k].key,
-                    column(nodes, kLinkColumns[k].counter));
-    os << (k + 1 < kLinkColumnCount ? ",\n" : "\n");
-  }
-  os << "  },\n";
-
-  os << "  \"latency\": {\n";
-  os << "    \"count\": " << latency.count() << ",\n";
-  os << "    \"sum_s\": " << plain_number(latency.sum(), 9) << ",\n";
-  os << "    \"min_s\": " << plain_number(latency.min(), 9) << ",\n";
-  os << "    \"max_s\": " << plain_number(latency.max(), 9) << ",\n";
-  os << "    \"p50_s\": " << plain_number(latency.p50(), 9) << ",\n";
-  os << "    \"p95_s\": " << plain_number(latency.p95(), 9) << ",\n";
-  os << "    \"p99_s\": " << plain_number(latency.p99(), 9) << ",\n";
-  os << "    \"bounds_s\": [";
-  for (std::size_t i = 0; i < latency.bounds().size(); ++i) {
-    if (i != 0) os << ", ";
-    os << plain_number(latency.bounds()[i], 6);
-  }
-  os << "],\n    \"buckets\": [";
+  w.key("latency").begin_object().key("count").value(latency.count());
+  w.key("sum_s").fixed(latency.sum(), 9).key("min_s").fixed(latency.min(), 9);
+  w.key("max_s").fixed(latency.max(), 9).key("p50_s").fixed(latency.p50(), 9);
+  w.key("p95_s").fixed(latency.p95(), 9).key("p99_s").fixed(latency.p99(), 9);
+  w.key("bounds_s").begin_array();
+  for (const double bound : latency.bounds()) w.fixed(bound, 6);
+  w.end_array().key("buckets").begin_array();
   for (std::size_t i = 0; i < latency.bucket_count(); ++i) {
-    if (i != 0) os << ", ";
-    os << latency.bucket(i);
+    w.value(latency.bucket(i));
   }
-  os << "]\n  },\n";
+  w.end_array().end_object();
 
-  os << "  \"scheduler\": {\n";
-  os << "    \"retunes\": " << sched_retunes << ",\n";
-  os << "    \"grows\": " << sched_grows << ",\n";
-  os << "    \"peak_depth\": " << sched_peak_depth << ",\n";
-  os << "    \"scan_steps\": " << sched_scan_steps << ",\n";
-  os << "    \"buckets\": " << sched_buckets << ",\n";
-  os << "    \"width_s\": " << plain_number(sched_width_s, 9) << ",\n";
-  os << "    \"series_bucket_s\": " << plain_number(sched.bucket_s, 6)
-     << ",\n";
-  os << "    \"series_skipped\": " << sched.skipped << ",\n";
-  write_u64_array(os, "series_events", sched.events);
-  os << ",\n";
-  write_u64_array(os, "series_peak_depth", sched.peak_depth);
-  os << ",\n";
-  write_u64_array(os, "series_retunes", sched.retunes);
-  os << ",\n";
-  write_u64_array(os, "series_scan_steps", sched.scan_steps);
-  os << "\n  }\n}\n";
-  return os.str();
+  w.key("scheduler").begin_object();
+  w.key("retunes").value(sched_retunes).key("grows").value(sched_grows);
+  w.key("peak_depth").value(sched_peak_depth);
+  w.key("scan_steps").value(sched_scan_steps);
+  w.key("buckets").value(sched_buckets);
+  w.key("width_s").fixed(sched_width_s, 9);
+  w.key("series_bucket_s").fixed(sched.bucket_s, 6);
+  w.key("series_skipped").value(sched.skipped);
+  w.key("series_events").array(sched.events);
+  w.key("series_peak_depth").array(sched.peak_depth);
+  w.key("series_retunes").array(sched.retunes);
+  w.key("series_scan_steps").array(sched.scan_steps);
+  return w.end_object().end_object().str();
 }
 
 std::string NetFlightRecord::to_csv() const {
@@ -245,8 +191,7 @@ std::string NetFlightRecord::to_csv() const {
   for (const LinkColumn& link : kLinkColumns) os << ",link_" << link.key;
   os << '\n';
   for (std::size_t i = 0; i < nodes.size(); ++i) {
-    os << i << ',';
-    write_dst(os, links[i]);
+    os << i << ',' << dst_id(links[i]);
     for (std::size_t c = 0; c < kNodeColumnCount; ++c) {
       os << ',' << nodes[i].values[c];
     }
@@ -259,20 +204,19 @@ std::string NetFlightRecord::to_csv() const {
 }
 
 std::string NetFlightRecord::sched_chrome_counters() const {
-  std::ostringstream os;
-  os << "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n";
+  util::json::Writer w;
+  w.begin_object().key("displayTimeUnit").value("ms");
+  w.key("traceEvents").begin_array();
   for (std::size_t i = 0; i < sched.events.size(); ++i) {
-    if (i != 0) os << ",\n";
     const double t_us = static_cast<double>(i) * sched.bucket_s * 1e6;
-    os << "{\"name\": \"net.sched\", \"ph\": \"C\", \"ts\": "
-       << plain_number(t_us, 3) << ", \"pid\": 1, \"tid\": 0, "
-       << "\"args\": {\"events\": " << sched.events[i]
-       << ", \"peak_depth\": " << sched.peak_depth[i]
-       << ", \"retunes\": " << sched.retunes[i]
-       << ", \"scan_steps\": " << sched.scan_steps[i] << "}}";
+    w.begin_object().key("name").value("net.sched").key("ph").value("C");
+    w.key("ts").fixed(t_us, 3).key("pid").value(1).key("tid").value(0);
+    w.key("args").begin_object().key("events").value(sched.events[i]);
+    w.key("peak_depth").value(sched.peak_depth[i]);
+    w.key("retunes").value(sched.retunes[i]);
+    w.key("scan_steps").value(sched.scan_steps[i]).end_object().end_object();
   }
-  os << "\n]}\n";
-  return os.str();
+  return w.end_array().end_object().str();
 }
 
 }  // namespace braidio::net

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <mutex>
-#include <sstream>
 
 #include "util/contract.hpp"
+#include "util/json.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
 
@@ -231,82 +231,44 @@ bool MetricsRegistry::empty() const {
 
 namespace {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) >= 0x20) {
-      out += c;
-    }
-  }
-  return out;
-}
-
-/// Shortest round-trip decimal rendering (deterministic, locale-free).
-std::string number(double v) {
-  std::ostringstream os;
-  os.precision(17);
-  os << v;
-  return os.str();
-}
-
-void histogram_json(std::ostringstream& os, const HistogramData& h) {
-  os << "{\"count\": " << h.count() << ", \"sum\": " << number(h.sum())
-     << ", \"min\": " << number(h.min())
-     << ", \"max\": " << number(h.max())
-     << ", \"p50\": " << number(h.p50())
-     << ", \"p95\": " << number(h.p95())
-     << ", \"p99\": " << number(h.p99()) << ", \"buckets\": [";
-  for (std::size_t b = 0; b < h.bucket_count(); ++b) {
-    os << (b ? ", " : "") << h.bucket(b);
-  }
-  os << "]}";
+void write_histogram(util::json::Writer& w, const HistogramData& h) {
+  w.begin_object();
+  w.key("count").value(h.count()).key("sum").value(h.sum());
+  w.key("min").value(h.min()).key("max").value(h.max());
+  w.key("p50").value(h.p50()).key("p95").value(h.p95());
+  w.key("p99").value(h.p99());
+  w.key("buckets").begin_array();
+  for (std::size_t b = 0; b < h.bucket_count(); ++b) w.value(h.bucket(b));
+  w.end_array().end_object();
 }
 
 }  // namespace
 
 std::string MetricsRegistry::to_json() const {
-  std::ostringstream os;
-  os << "{\n  \"counters\": {";
-  bool first = true;
+  util::json::Writer w;
+  write_json(w);
+  return w.str();
+}
+
+void MetricsRegistry::write_json(util::json::Writer& w) const {
+  w.begin_object().key("counters").begin_object();
   for (std::size_t c = 0; c < kCounterCount; ++c) {
     if (builtin_counters_[c] == 0) continue;
-    os << (first ? "" : ", ") << '"'
-       << to_string(static_cast<Counter>(c))
-       << "\": " << builtin_counters_[c];
-    first = false;
+    w.key(to_string(static_cast<Counter>(c))).value(builtin_counters_[c]);
   }
-  for (const auto& [name, v] : named_counters_) {
-    os << (first ? "" : ", ") << '"' << json_escape(name) << "\": " << v;
-    first = false;
-  }
-  os << "},\n  \"gauges\": {";
-  first = true;
-  for (const auto& [name, v] : named_gauges_) {
-    os << (first ? "" : ", ") << '"' << json_escape(name)
-       << "\": " << number(v);
-    first = false;
-  }
-  os << "},\n  \"histograms\": {";
-  first = true;
+  for (const auto& [name, v] : named_counters_) w.key(name).value(v);
+  w.end_object().key("gauges").begin_object();
+  for (const auto& [name, v] : named_gauges_) w.key(name).value(v);
+  w.end_object().key("histograms").begin_object();
   for (std::size_t h = 0; h < kHistogramCount; ++h) {
     if (builtin_histograms_[h].count() == 0) continue;
-    os << (first ? "" : ", ") << "\n    \""
-       << to_string(static_cast<Histogram>(h)) << "\": ";
-    histogram_json(os, builtin_histograms_[h]);
-    first = false;
+    write_histogram(w.key(to_string(static_cast<Histogram>(h))),
+                    builtin_histograms_[h]);
   }
   for (const auto& [name, h] : named_histograms_) {
-    os << (first ? "" : ", ") << "\n    \"" << json_escape(name)
-       << "\": ";
-    histogram_json(os, h);
-    first = false;
+    write_histogram(w.key(name), h);
   }
-  os << "}\n}\n";
-  return os.str();
+  w.end_object().end_object();
 }
 
 util::TablePrinter MetricsRegistry::to_table() const {

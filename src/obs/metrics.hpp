@@ -28,6 +28,9 @@
 
 namespace braidio::util {
 class TablePrinter;
+namespace json {
+class Writer;
+}  // namespace json
 }  // namespace braidio::util
 
 namespace braidio::obs {
@@ -155,6 +158,8 @@ class MetricsRegistry {
 
   /// Deterministic JSON document (enum order, then sorted names).
   std::string to_json() const;
+  /// The same document as the next value of `w`.
+  void write_json(util::json::Writer& w) const;
 
   /// Rendered table of every non-zero metric: name, type, count/value,
   /// and p50/p95/p99 for histograms.

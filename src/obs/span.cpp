@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "util/contract.hpp"
+#include "util/json.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
 
@@ -28,28 +29,6 @@ void append_sanitized(std::string& out, const char* label) {
                      static_cast<unsigned char>(c) < 0x20;
     out += bad ? '_' : c;
   }
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) >= 0x20) {
-      out += c;
-    }
-  }
-  return out;
-}
-
-/// Shortest round-trip decimal rendering (deterministic, locale-free).
-std::string number(double v) {
-  std::ostringstream os;
-  os.precision(17);
-  os << v;
-  return os.str();
 }
 
 /// The first two '/'-separated segments of `path` (the whole path when
@@ -125,33 +104,20 @@ void EnergyProfile::merge(const EnergyProfile& other) {
 void EnergyProfile::clear() { *this = EnergyProfile(); }
 
 std::string EnergyProfile::to_json() const {
-  std::ostringstream os;
-  os << "{\n  \"schema\": \"braidio-energy-profile/v1\",\n"
-     << "  \"bucket_seconds\": " << number(bucket_seconds_) << ",\n"
-     << "  \"total_joules\": " << number(total_joules()) << ",\n"
-     << "  \"total_posts\": " << total_posts() << ",\n"
-     << "  \"series_skipped\": " << series_skipped_ << ",\n"
-     << "  \"attributions\": [";
-  bool first = true;
+  util::json::Writer w;
+  w.begin_object().key("schema").value("braidio-energy-profile/v1");
+  w.key("bucket_seconds").value(bucket_seconds_);
+  w.key("total_joules").value(total_joules());
+  w.key("total_posts").value(total_posts());
+  w.key("series_skipped").value(series_skipped_);
+  w.key("attributions").begin_array();
   for (const auto& [path, slot] : entries_) {
-    os << (first ? "" : ",") << "\n    {\"path\": \""
-       << json_escape(path) << "\", \"joules\": " << number(slot.joules)
-       << ", \"posts\": " << slot.posts << "}";
-    first = false;
+    w.begin_object().key("path").value(path).key("joules").value(slot.joules);
+    w.key("posts").value(slot.posts).end_object();
   }
-  os << (first ? "" : "\n  ") << "],\n  \"series\": {";
-  first = true;
-  for (const auto& [key, track] : series_) {
-    os << (first ? "" : ",") << "\n    \"" << json_escape(key)
-       << "\": [";
-    for (std::size_t b = 0; b < track.size(); ++b) {
-      os << (b ? ", " : "") << number(track[b]);
-    }
-    os << "]";
-    first = false;
-  }
-  os << (first ? "" : "\n  ") << "}\n}\n";
-  return os.str();
+  w.end_array().key("series").begin_object();
+  for (const auto& [key, track] : series_) w.key(key).array(track);
+  return w.end_object().end_object().str();
 }
 
 std::string EnergyProfile::to_collapsed_stack() const {
@@ -173,23 +139,21 @@ std::string EnergyProfile::to_collapsed_stack() const {
 }
 
 std::string EnergyProfile::to_chrome_counters() const {
-  std::ostringstream os;
-  os << "{\n\"traceEvents\": [";
-  bool first = true;
+  util::json::Writer w;
+  w.begin_object().key("traceEvents").begin_array();
   for (const auto& [key, track] : series_) {
     for (std::size_t b = 0; b < track.size(); ++b) {
-      os << (first ? "" : ",") << "\n"
-         << "{\"name\": \"power:" << json_escape(key)
-         << "\", \"ph\": \"C\", \"pid\": 0, \"tid\": 0, \"ts\": "
-         << number(static_cast<double>(b) * bucket_seconds_ * 1e6)
-         << ", \"args\": {\"w\": "
-         << number(track[b] / bucket_seconds_) << "}}";
-      first = false;
+      w.begin_object().key("name").value("power:" + key);
+      w.key("ph").value("C").key("pid").value(0).key("tid").value(0);
+      w.key("ts").value(static_cast<double>(b) * bucket_seconds_ * 1e6);
+      w.key("args").begin_object();
+      w.key("w").value(track[b] / bucket_seconds_).end_object().end_object();
     }
   }
-  os << "\n],\n\"displayTimeUnit\": \"ms\",\n\"otherData\": "
-     << "{\"bucket_seconds\": " << number(bucket_seconds_) << "}\n}\n";
-  return os.str();
+  w.end_array().key("displayTimeUnit").value("ms");
+  w.key("otherData").begin_object();
+  w.key("bucket_seconds").value(bucket_seconds_).end_object();
+  return w.end_object().str();
 }
 
 std::string EnergyProfile::tree_report() const {

@@ -1,12 +1,12 @@
 #include "obs/tracer.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstring>
 #include <sstream>
 
 #include "util/contract.hpp"
+#include "util/json.hpp"
 #include "util/log.hpp"
+#include "util/table.hpp"
 
 namespace braidio::obs {
 
@@ -229,80 +229,43 @@ std::size_t Tracer::Snapshot::total_events() const {
   return sum;
 }
 
-namespace {
-
-void json_escape_into(std::ostringstream& os, const char* s) {
-  for (; *s; ++s) {
-    const char c = *s;
-    if (c == '"' || c == '\\') {
-      os << '\\' << c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", c);
-      os << buf;
-    } else {
-      os << c;
-    }
-  }
-}
-
-/// Fixed-decimal rendering that never emits exponents or locale commas
-/// (Chrome's JSON loader and the CSV both want plain numbers).
-std::string plain_number(double v, int decimals) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.*f", decimals, v);
-  return buf;
-}
-
-}  // namespace
-
 std::string chrome_trace_json(const Tracer::Snapshot& snapshot) {
-  std::ostringstream os;
-  os << "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n";
-  bool first = true;
+  util::json::Writer w;
+  w.begin_object().key("displayTimeUnit").value("ms");
+  w.key("traceEvents").begin_array();
   for (const auto& lane : snapshot.lanes) {
     for (const auto& ev : lane.events) {
-      if (!first) os << ",\n";
-      first = false;
       const char phase = chrome_phase(ev.type);
       const bool flow = is_flow_event(ev.type);
-      os << "{\"name\": \"";
       // Spans are named by their label so B/E pairs match, flow stages
       // share one name so the viewer chains them by id, and instants
       // are named by their type so event classes group in the viewer.
-      if ((phase == 'B' || phase == 'E') && ev.label[0] != '\0') {
-        json_escape_into(os, ev.label);
-      } else if (flow) {
-        os << "packet";
-      } else {
-        os << to_string(ev.type);
-      }
-      os << "\", \"cat\": \"braidio\", \"ph\": \"" << phase << "\"";
-      if (phase == 'i') os << ", \"s\": \"t\"";
+      const bool span = phase == 'B' || phase == 'E';
+      w.begin_object().key("name");
+      w.value(span && ev.label[0] != '\0' ? ev.label
+              : flow                     ? "packet"
+                                         : to_string(ev.type));
+      w.key("cat").value("braidio");
+      w.key("ph").value(std::string_view(&phase, 1));
+      if (phase == 'i') w.key("s").value("t");
       if (flow) {
         // The packet id rides `value`; matching ids + name + cat make
         // begin -> step -> end render as one connected arrow chain.
-        os << ", \"id\": " << plain_number(ev.value, 0);
-        if (phase == 'f') os << ", \"bp\": \"e\"";
+        w.key("id").fixed(ev.value, 0);
+        if (phase == 'f') w.key("bp").value("e");
       }
-      os << ", \"ts\": " << plain_number(ev.wall_s * 1e6, 3)
-         << ", \"pid\": 1, \"tid\": " << lane.lane << ", \"args\": {";
-      os << "\"type\": \"" << to_string(ev.type) << "\"";
-      if (ev.label[0] != '\0') {
-        os << ", \"label\": \"";
-        json_escape_into(os, ev.label);
-        os << "\"";
-      }
-      if (ev.has_sim_time()) {
-        os << ", \"sim_s\": " << plain_number(ev.sim_s, 6);
-      }
-      os << ", \"value\": " << plain_number(ev.value, 9) << "}}";
+      w.key("ts").fixed(ev.wall_s * 1e6, 3);
+      w.key("pid").value(1).key("tid").value(lane.lane);
+      w.key("args").begin_object().key("type").value(to_string(ev.type));
+      if (ev.label[0] != '\0') w.key("label").value(ev.label);
+      if (ev.has_sim_time()) w.key("sim_s").fixed(ev.sim_s, 6);
+      w.key("value").fixed(ev.value, 9).end_object().end_object();
     }
   }
-  os << "\n],\n\"otherData\": {\"recorded\": "
-     << snapshot.total_recorded()
-     << ", \"dropped\": " << snapshot.total_dropped() << "}}\n";
-  return os.str();
+  w.end_array().key("otherData").begin_object();
+  w.key("recorded").value(snapshot.total_recorded());
+  w.key("dropped").value(snapshot.total_dropped()).end_object();
+  return w.end_object().str();
 }
 
 std::string trace_csv(const Tracer::Snapshot& snapshot) {
@@ -310,13 +273,13 @@ std::string trace_csv(const Tracer::Snapshot& snapshot) {
   os << "wall_s,lane,seq,type,label,sim_s,value\n";
   for (const auto& lane : snapshot.lanes) {
     for (const auto& ev : lane.events) {
-      os << plain_number(ev.wall_s, 9) << ',' << lane.lane << ','
+      os << util::format_fixed(ev.wall_s, 9) << ',' << lane.lane << ','
          << ev.seq << ',' << to_string(ev.type) << ',';
       // Labels are truncated to a fixed width and never contain commas
       // or quotes by construction; write them bare.
       os << ev.label << ',';
-      if (ev.has_sim_time()) os << plain_number(ev.sim_s, 9);
-      os << ',' << plain_number(ev.value, 9) << '\n';
+      if (ev.has_sim_time()) os << util::format_fixed(ev.sim_s, 9);
+      os << ',' << util::format_fixed(ev.value, 9) << '\n';
     }
   }
   return os.str();

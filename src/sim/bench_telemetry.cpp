@@ -1,41 +1,14 @@
 #include "sim/bench_telemetry.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
-#include <sstream>
 
 #include "obs/metrics.hpp"
 #include "sim/result_table.hpp"
 #include "util/contract.hpp"
+#include "util/json.hpp"
 
 namespace braidio::sim {
-
-namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) >= 0x20) {
-      out += c;
-    }
-  }
-  return out;
-}
-
-/// Shortest round-trip decimal rendering (deterministic, locale-free).
-std::string number(double v) {
-  std::ostringstream os;
-  os.precision(17);
-  os << v;
-  return os.str();
-}
-
-}  // namespace
 
 BenchTelemetry::BenchTelemetry()
     : delivered_bits_per_joule(
@@ -76,47 +49,28 @@ BenchTelemetry BenchTelemetry::from_table(const std::string& name,
 }
 
 std::string BenchTelemetry::to_json() const {
-  std::ostringstream os;
-  os << "{\n  \"schema\": \"" << kBenchTelemetrySchema << "\",\n"
-     << "  \"name\": \"" << json_escape(name) << "\",\n"
-     << "  \"points\": " << points << ",\n"
-     << "  \"threads\": " << threads << ",\n"
-     << "  \"wall_seconds\": " << number(wall_seconds) << ",\n"
-     << "  \"points_per_second\": " << number(points_per_second)
-     << ",\n  \"delivered_bits_per_joule\": "
-     << (std::isnan(delivered_bits_per_joule)
-             ? std::string("null")
-             : number(delivered_bits_per_joule))
-     << ",\n  \"top_attributions\": [";
-  bool first = true;
+  util::json::Writer w;
+  w.begin_object().key("schema").value(kBenchTelemetrySchema);
+  w.key("name").value(name).key("points").value(points);
+  w.key("threads").value(threads).key("wall_seconds").value(wall_seconds);
+  w.key("points_per_second").value(points_per_second);
+  w.key("delivered_bits_per_joule").value(delivered_bits_per_joule);
+  w.key("top_attributions").begin_array();
   for (const auto& [path, joules] : top_attributions) {
-    os << (first ? "" : ",") << "\n    {\"path\": \""
-       << json_escape(path) << "\", \"joules\": " << number(joules)
-       << "}";
-    first = false;
+    w.begin_object().key("path").value(path);
+    w.key("joules").value(joules).end_object();
   }
-  os << (first ? "" : "\n  ") << "],\n  \"counters\": {";
-  first = true;
-  for (const auto& [name_, v] : counters) {
-    os << (first ? "" : ", ") << "\"" << json_escape(name_)
-       << "\": " << v;
-    first = false;
-  }
-  os << "}";
+  w.end_array().key("counters").begin_object();
+  for (const auto& [name_, v] : counters) w.key(name_).value(v);
+  w.end_object();
   // Soft fields are optional so benches without them keep their exact
-  // historical record bytes.
+  // historical record fields.
   if (!soft.empty()) {
-    os << ",\n  \"soft\": {";
-    first = true;
-    for (const auto& [name_, v] : soft) {
-      os << (first ? "" : ", ") << "\"" << json_escape(name_)
-         << "\": " << number(v);
-      first = false;
-    }
-    os << "}";
+    w.key("soft").begin_object();
+    for (const auto& [name_, v] : soft) w.key(name_).value(v);
+    w.end_object();
   }
-  os << "\n}\n";
-  return os.str();
+  return w.end_object().str();
 }
 
 }  // namespace braidio::sim

@@ -1,6 +1,5 @@
 #include "sim/result_table.hpp"
 
-#include <cstdio>
 #include <sstream>
 
 #include "obs/obs.hpp"
@@ -9,33 +8,6 @@
 #include "util/table.hpp"
 
 namespace braidio::sim {
-
-namespace {
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 ResultTable::ResultTable(const Scenario& scenario, std::uint64_t master_seed)
     : name_(scenario.name()),
@@ -95,63 +67,60 @@ std::string ResultTable::to_csv() const {
 }
 
 std::string ResultTable::to_json() const {
-  std::ostringstream os;
-  os << "{\n  \"scenario\": \"" << json_escape(name_) << "\",\n"
-     << "  \"seed\": " << seed_ << ",\n  \"axes\": [";
-  for (std::size_t a = 0; a < axes_.size(); ++a) {
-    os << (a ? ", " : "") << '"' << json_escape(axes_[a].name) << '"';
-  }
-  os << "],\n  \"rows\": [\n";
+  util::json::Writer w;
+  write_json(w);
+  return w.str();
+}
+
+void ResultTable::write_json(util::json::Writer& w) const {
+  w.begin_object().key("scenario").value(name_).key("seed").value(seed_);
+  w.key("axes").begin_array();
+  for (const auto& axis : axes_) w.value(axis.name);
+  w.end_array().key("rows").begin_array();
   for (std::size_t r = 0; r < records_.size(); ++r) {
-    os << "    {";
-    bool first = true;
+    w.begin_object();
     for (std::size_t a = 0; a < axes_.size(); ++a) {
-      os << (first ? "" : ", ") << '"' << json_escape(axes_[a].name)
-         << "\": \"" << json_escape(axis_label(r, a)) << '"';
-      first = false;
+      w.key(axes_[a].name).value(axis_label(r, a));
     }
     for (std::size_t c = 0; c < columns_.size(); ++c) {
-      os << (first ? "" : ", ") << '"' << json_escape(columns_[c])
-         << "\": \"" << json_escape(records_[r].cells[c]) << '"';
-      first = false;
+      w.key(columns_[c]).value(records_[r].cells[c]);
     }
-    os << '}' << (r + 1 < records_.size() ? "," : "") << '\n';
+    w.end_object();
   }
-  os << "  ]\n}\n";
-  return os.str();
+  w.end_array().end_object();
 }
 
 std::string ResultTable::to_json_with_meta() const {
-  std::ostringstream os;
-  os << "{\n  \"meta\": {\n"
-     << "    \"scenario\": \"" << json_escape(name_) << "\",\n"
-     << "    \"seed\": " << seed_ << ",\n"
-     << "    \"points\": " << records_.size() << ",\n"
-     << "    \"threads\": " << threads_used_ << ",\n"
-     << "    \"wall_seconds\": " << total_wall_seconds_ << ",\n"
-     << "    \"obs_compiled\": " << (BRAIDIO_OBS_COMPILED ? "true" : "false")
-     << ",\n"
-     << "    \"trace_enabled\": " << (obs::tracing() ? "true" : "false")
-     << ",\n";
+  util::json::Writer w;
+  w.begin_object().key("meta").begin_object();
+  w.key("scenario").value(name_).key("seed").value(seed_);
+  w.key("points").value(records_.size()).key("threads").value(threads_used_);
+  w.key("wall_seconds").value(total_wall_seconds_);
+  w.key("obs_compiled").value(BRAIDIO_OBS_COMPILED != 0);
+  w.key("trace_enabled").value(obs::tracing());
   // Truncated traces must be self-announcing: surface the tracer's total
   // and per-lane drop counters next to the run metadata so a consumer of
   // an exported trace can tell how much of it the rings overwrote.
   const auto trace = obs::Tracer::instance().snapshot();
-  os << "    \"trace\": {\"recorded\": " << trace.total_recorded()
-     << ", \"dropped\": " << trace.total_dropped() << ", \"lanes\": [";
-  for (std::size_t i = 0; i < trace.lanes.size(); ++i) {
-    os << (i ? ", " : "") << "{\"lane\": " << trace.lanes[i].lane
-       << ", \"recorded\": " << trace.lanes[i].recorded
-       << ", \"dropped\": " << trace.lanes[i].dropped << "}";
+  w.key("trace").begin_object();
+  w.key("recorded").value(trace.total_recorded());
+  w.key("dropped").value(trace.total_dropped()).key("lanes").begin_array();
+  for (const auto& lane : trace.lanes) {
+    w.begin_object().key("lane").value(lane.lane);
+    w.key("recorded").value(lane.recorded).key("dropped").value(lane.dropped);
+    w.end_object();
   }
-  os << "]},\n"
-     << "    \"energy_attribution_joules\": "
-     << energy_profile_.total_joules() << "\n  },\n"
-     << "  \"metrics\": "
-     << (metrics_registry_.empty() ? std::string("null\n")
-                                   : metrics_registry_.to_json())
-     << ",\n  \"data\": " << to_json() << "}\n";
-  return os.str();
+  w.end_array().end_object();
+  w.key("energy_attribution_joules").value(energy_profile_.total_joules());
+  w.end_object().key("metrics");
+  if (metrics_registry_.empty()) {
+    w.null();
+  } else {
+    metrics_registry_.write_json(w);
+  }
+  write_json(w.key("data"));
+  w.end_object();
+  return w.str();
 }
 
 util::TablePrinter ResultTable::pivot(std::size_t row_axis,

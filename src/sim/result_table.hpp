@@ -15,6 +15,7 @@
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "sim/scenario.hpp"
+#include "util/json.hpp"
 #include "util/table.hpp"
 
 namespace braidio::sim {
@@ -86,6 +87,9 @@ class ResultTable {
 
  private:
   friend class SweepRunner;
+
+  /// The to_json() document as the next value of `w`.
+  void write_json(util::json::Writer& w) const;
 
   std::string name_;
   std::uint64_t seed_;

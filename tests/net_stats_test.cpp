@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "backends/backends.hpp"
+#include "json_parse.hpp"
 #include "net/network_sim.hpp"
 #include "obs/obs.hpp"
 #include "sim/faults/fault_timeline.hpp"
@@ -371,6 +372,68 @@ TEST(NetFlightRecorder, SchedChromeCountersExport) {
   EXPECT_NE(doc.find("\"ph\": \"C\""), std::string::npos);
   EXPECT_NE(doc.find("\"events\""), std::string::npos);
   EXPECT_NE(doc.find("\"peak_depth\""), std::string::npos);
+}
+
+// Both JSON exports parse back to the record they came from: each
+// node_counters column is the per-node counter, a stranded node's dst is
+// -1, and the scheduler series keep one entry per bucket. A sparse
+// random mesh relays over several hops and strands the nodes that have
+// no neighbour in range.
+TEST(NetFlightRecorder, JsonExportsParseBackToTheRecord) {
+  NetConfig cfg;
+  cfg.backend = &backend();
+  cfg.topology.kind = TopologyKind::RandomGeometric;
+  cfg.topology.nodes = 48;
+  cfg.topology.extent_m = 3.0;
+  cfg.packets_per_node = 2;
+  cfg.flight_recorder = true;
+  cfg.stats_bucket_s = 0.01;
+  NetworkSimulator sim(cfg);
+  sim.run();
+  const NetFlightRecord& record = sim.flight_record();
+  ASSERT_TRUE(record.enabled);
+  ASSERT_GT(std::count(record.links.begin(), record.links.end(), kNoRoute),
+            0);
+  ASSERT_GT(node_sum(record, NodeCounter::Relayed), 0u);
+
+  const auto doc = test::parse_json(record.to_json());
+  EXPECT_EQ(doc.at("nodes").number, static_cast<double>(record.nodes.size()));
+  for (std::size_t c = 0; c < kNodeColumnCount; ++c) {
+    const auto counter = static_cast<NodeCounter>(c);
+    const auto& column = doc.at("node_counters").at(to_string(counter)).array;
+    ASSERT_EQ(column.size(), record.nodes.size()) << to_string(counter);
+    for (std::size_t i = 0; i < column.size(); ++i) {
+      EXPECT_EQ(column[i].number,
+                static_cast<double>(record.nodes[i].value(counter)))
+          << to_string(counter) << " node " << i;
+    }
+  }
+  const auto& dst = doc.at("links").at("dst").array;
+  ASSERT_EQ(dst.size(), record.links.size());
+  for (std::size_t i = 0; i < dst.size(); ++i) {
+    EXPECT_EQ(dst[i].number, record.links[i] == kNoRoute
+                                 ? -1.0
+                                 : static_cast<double>(record.links[i]))
+        << "node " << i;
+  }
+  const std::size_t buckets = record.sched.events.size();
+  ASSERT_GT(buckets, 0u);
+  for (const char* key : {"series_events", "series_peak_depth",
+                          "series_retunes", "series_scan_steps"}) {
+    EXPECT_EQ(doc.at("scheduler").at(key).array.size(), buckets) << key;
+  }
+
+  const auto counters = test::parse_json(record.sched_chrome_counters());
+  const auto& events = counters.at("traceEvents").array;
+  ASSERT_EQ(events.size(), buckets);
+  for (std::size_t i = 0; i < buckets; ++i) {
+    EXPECT_EQ(events[i].at("name").string, "net.sched");
+    const auto& args = events[i].at("args");
+    EXPECT_EQ(args.at("events").number,
+              static_cast<double>(record.sched.events[i]));
+    EXPECT_EQ(args.at("peak_depth").number,
+              static_cast<double>(record.sched.peak_depth[i]));
+  }
 }
 
 #else  // !BRAIDIO_OBS_COMPILED

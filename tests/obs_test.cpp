@@ -2,16 +2,14 @@
 // wraparound + drop accounting, Chrome trace JSON parse-back, the runtime
 // sampling gate, and the serial-vs-parallel determinism of the merged
 // sweep metrics.
-#include <cctype>
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <map>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "json_parse.hpp"
 #include "core/braided_link.hpp"
 #include "core/braidio_radio.hpp"
 #include "core/mobility_sim.hpp"
@@ -33,194 +31,8 @@
 namespace {
 
 using namespace braidio;
-
-// ---------------------------------------------------------------------
-// A minimal recursive-descent JSON parser, enough to parse back what
-// chrome_trace_json / to_json_with_meta emit. Throws on malformed input.
-// ---------------------------------------------------------------------
-struct JsonValue {
-  enum class Kind { Null, Bool, Number, String, Object, Array };
-  Kind kind = Kind::Null;
-  bool boolean = false;
-  double number = 0.0;
-  std::string string;
-  std::map<std::string, JsonValue> object;
-  std::vector<JsonValue> array;
-
-  const JsonValue& at(const std::string& key) const {
-    const auto it = object.find(key);
-    if (it == object.end()) throw std::runtime_error("no key: " + key);
-    return it->second;
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
-
-  JsonValue parse() {
-    JsonValue v = value();
-    skip_ws();
-    if (pos_ != text_.size()) throw std::runtime_error("trailing junk");
-    return v;
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r' || text_[pos_] == '\t')) {
-      ++pos_;
-    }
-  }
-
-  char peek() {
-    if (pos_ >= text_.size()) throw std::runtime_error("eof");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) {
-      throw std::runtime_error(std::string("expected ") + c);
-    }
-    ++pos_;
-  }
-
-  bool consume_literal(const char* lit) {
-    const std::size_t n = std::char_traits<char>::length(lit);
-    if (text_.compare(pos_, n, lit) == 0) {
-      pos_ += n;
-      return true;
-    }
-    return false;
-  }
-
-  JsonValue value() {
-    skip_ws();
-    const char c = peek();
-    if (c == '{') return object();
-    if (c == '[') return array();
-    if (c == '"') return string_value();
-    if (consume_literal("true")) {
-      JsonValue v;
-      v.kind = JsonValue::Kind::Bool;
-      v.boolean = true;
-      return v;
-    }
-    if (consume_literal("false")) {
-      JsonValue v;
-      v.kind = JsonValue::Kind::Bool;
-      return v;
-    }
-    if (consume_literal("null")) return JsonValue{};
-    return number();
-  }
-
-  JsonValue object() {
-    JsonValue v;
-    v.kind = JsonValue::Kind::Object;
-    expect('{');
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      skip_ws();
-      JsonValue key = string_value();
-      skip_ws();
-      expect(':');
-      v.object[key.string] = value();
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect('}');
-      return v;
-    }
-  }
-
-  JsonValue array() {
-    JsonValue v;
-    v.kind = JsonValue::Kind::Array;
-    expect('[');
-    skip_ws();
-    if (peek() == ']') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      v.array.push_back(value());
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect(']');
-      return v;
-    }
-  }
-
-  JsonValue string_value() {
-    JsonValue v;
-    v.kind = JsonValue::Kind::String;
-    expect('"');
-    while (true) {
-      const char c = peek();
-      ++pos_;
-      if (c == '"') return v;
-      if (c == '\\') {
-        const char esc = peek();
-        ++pos_;
-        switch (esc) {
-          case '"': v.string += '"'; break;
-          case '\\': v.string += '\\'; break;
-          case '/': v.string += '/'; break;
-          case 'n': v.string += '\n'; break;
-          case 't': v.string += '\t'; break;
-          case 'r': v.string += '\r'; break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) {
-              throw std::runtime_error("bad \\u");
-            }
-            const int code =
-                std::stoi(text_.substr(pos_, 4), nullptr, 16);
-            pos_ += 4;
-            v.string += static_cast<char>(code);
-            break;
-          }
-          default: throw std::runtime_error("bad escape");
-        }
-      } else {
-        v.string += c;
-      }
-    }
-  }
-
-  JsonValue number() {
-    JsonValue v;
-    v.kind = JsonValue::Kind::Number;
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '-' || text_[pos_] == '+' ||
-            text_[pos_] == '.' || text_[pos_] == 'e' ||
-            text_[pos_] == 'E')) {
-      ++pos_;
-    }
-    if (pos_ == start) throw std::runtime_error("bad number");
-    v.number = std::stod(text_.substr(start, pos_ - start));
-    return v;
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
-
-JsonValue parse_json(const std::string& text) {
-  return JsonParser(text).parse();
-}
+using test::JsonValue;
+using test::parse_json;
 
 // ---------------------------------------------------------------------
 // Histograms
@@ -343,6 +155,24 @@ TEST(MetricsRegistry, ToJsonParsesBackAndIsDeterministic) {
   EXPECT_DOUBLE_EQ(dwell.at("sum").number, 2.625);
   // Named metrics render in sorted order.
   EXPECT_LT(json.find("\"alpha\""), json.find("\"zeta\""));
+}
+
+TEST(MetricsRegistry, NonFiniteGaugesAndControlCharacterNamesParseBack) {
+  obs::MetricsRegistry r;
+  r.gauge("nan") = std::numeric_limits<double>::quiet_NaN();
+  r.gauge("inf") = std::numeric_limits<double>::infinity();
+  const std::string tab = "tab\tname";
+  const std::string ctl = std::string("ctl\x01") + "name";
+  r.counter(tab) += 1;
+  r.counter("tabname") += 2;  // must not collide with "tab\tname"
+  r.gauge(ctl) = 0.5;
+  const auto doc = parse_json(r.to_json());
+  // Non-finite values have no JSON number: they render as null.
+  EXPECT_EQ(doc.at("gauges").at("nan").kind, JsonValue::Kind::Null);
+  EXPECT_EQ(doc.at("gauges").at("inf").kind, JsonValue::Kind::Null);
+  EXPECT_EQ(doc.at("counters").at(tab).number, 1.0);
+  EXPECT_EQ(doc.at("counters").at("tabname").number, 2.0);
+  EXPECT_EQ(doc.at("gauges").at(ctl).number, 0.5);
 }
 
 // ---------------------------------------------------------------------
@@ -625,6 +455,34 @@ TEST(EnergyProfile, JsonAndCollapsedStackParseBackAndConserve) {
               1e-9 * static_cast<double>(lines));
 }
 
+TEST(EnergyProfile, ControlCharacterPathsParseBackExactly) {
+  obs::EnergyProfile p;
+  const std::string tab = "hub/tab\tnode/carrier";
+  const std::string ctl = std::string("hub/ctl\x01") + "node/carrier";
+  p.post(tab, 1.0, 0.0);
+  p.post(ctl, 2.0, 0.0);
+  p.post("hub/tabnode/carrier", 4.0, 0.0);
+  const auto doc = parse_json(p.to_json());
+  std::vector<std::string> paths;
+  for (const auto& entry : doc.at("attributions").array) {
+    paths.push_back(entry.at("path").string);
+  }
+  EXPECT_EQ(paths, (std::vector<std::string>{ctl, tab,
+                                             "hub/tabnode/carrier"}));
+  EXPECT_EQ(doc.at("series").at("hub/tab\tnode").array.size(), 1u);
+  EXPECT_EQ(doc.at("series").at(std::string("hub/ctl\x01") + "node")
+                .array.size(),
+            1u);
+  const auto power = parse_json(p.to_chrome_counters());
+  std::vector<std::string> names;
+  for (const auto& event : power.at("traceEvents").array) {
+    names.push_back(event.at("name").string);
+  }
+  EXPECT_EQ(names, (std::vector<std::string>{
+                       std::string("power:hub/ctl\x01") + "node",
+                       "power:hub/tab\tnode", "power:hub/tabnode"}));
+}
+
 TEST(EnergyProfileDeathTest, RejectsBadPostsAndMismatchedMerge) {
 #if BRAIDIO_CONTRACTS_ENABLED
   obs::EnergyProfile p;
@@ -828,6 +686,25 @@ TEST(BenchTelemetry, RoundTripsThroughJsonWithTopAttributions) {
 }
 
 #endif  // BRAIDIO_OBS_COMPILED
+
+TEST(BenchTelemetry, NonFiniteSoftFieldsAndControlCharacterKeysParseBack) {
+  sim::BenchTelemetry t;
+  t.name = "soft\tbench";
+  const std::string ctl = std::string("ctl\x01") + "key";
+  t.soft["rate"] = std::numeric_limits<double>::quiet_NaN();
+  t.soft["tab\tkey"] = 1.5;
+  t.soft[ctl] = 2.5;
+  t.counters["tab\tcounter"] = 3;
+  t.top_attributions = {{"hub/tab\tnode/carrier", 1.0}};
+  const auto doc = parse_json(t.to_json());
+  EXPECT_EQ(doc.at("name").string, "soft\tbench");
+  EXPECT_EQ(doc.at("soft").at("rate").kind, JsonValue::Kind::Null);
+  EXPECT_EQ(doc.at("soft").at("tab\tkey").number, 1.5);
+  EXPECT_EQ(doc.at("soft").at(ctl).number, 2.5);
+  EXPECT_EQ(doc.at("counters").at("tab\tcounter").number, 3.0);
+  EXPECT_EQ(doc.at("top_attributions").array.at(0).at("path").string,
+            "hub/tab\tnode/carrier");
+}
 
 TEST(ResultTableMeta, JsonWithMetaParsesBackAndEmbedsRunInfo) {
   const auto scenario = sim::Scenario(

@@ -1,10 +1,15 @@
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "util/contract.hpp"
 #include "util/csv.hpp"
+#include "util/json.hpp"
 #include "util/log.hpp"
 #include "util/table.hpp"
 
@@ -80,6 +85,69 @@ TEST(Csv, WritesFile) {
   EXPECT_EQ(line, "x");
   std::remove(path.c_str());
   EXPECT_THROW(w.write_file("/nonexistent-dir/x.csv"), std::runtime_error);
+}
+
+TEST(Json, NumberKeepsSeventeenDigitsAndNullsNonFinite) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(json::number(0.1), "0.10000000000000001");
+  EXPECT_EQ(json::number(2.0), "2");
+  EXPECT_EQ(json::number(1.5e-300), "1.5000000000000001e-300");
+  EXPECT_EQ(json::number(std::numeric_limits<double>::quiet_NaN()), "null");
+  EXPECT_EQ(json::number(kInf), "null");
+  EXPECT_EQ(json::number(-kInf), "null");
+}
+
+TEST(Json, FixedNeverUsesAnExponent) {
+  EXPECT_EQ(json::fixed(2.5, 3), "2.500");
+  EXPECT_EQ(json::fixed(1e-7, 9), "0.000000100");
+  EXPECT_EQ(json::fixed(121.0, 0), "121");
+  EXPECT_EQ(json::fixed(1e20, 0), "100000000000000000000");
+  EXPECT_EQ(json::fixed(1e300, 1).size(), 303u);
+  EXPECT_EQ(json::fixed(std::numeric_limits<double>::quiet_NaN(), 3), "null");
+}
+
+TEST(Json, EscapeKeepsEveryControlCharacter) {
+  EXPECT_EQ(json::escape("a\"b\\c"), "a\\\"b\\\\c");
+  EXPECT_EQ(json::escape("\n\t"), "\\n\\t");
+  EXPECT_EQ(json::escape(std::string("\x01\x1f\0", 3)),
+            "\\u0001\\u001f\\u0000");
+  EXPECT_EQ(json::escape("caf\xc3\xa9 /~"), "caf\xc3\xa9 /~");
+}
+
+TEST(JsonWriter, BreaksTheTopTwoDepthsAndInlinesDeeper) {
+  json::Writer w;
+  w.begin_object().key("n").value(-1).key("rows").begin_array();
+  w.begin_object().key("x").array(std::vector<int>{1, 2}).end_object();
+  w.begin_object().end_object().end_array();
+  w.key("empty").begin_array().end_array();
+  w.key("big").value(std::numeric_limits<std::uint64_t>::max());
+  w.key("flag").value(true).key("none").null();
+  w.key("t\tk").value("q\"").end_object();
+  EXPECT_EQ(w.str(),
+            "{\n"
+            "  \"n\": -1,\n"
+            "  \"rows\": [\n"
+            "    {\"x\": [1, 2]},\n"
+            "    {}\n"
+            "  ],\n"
+            "  \"empty\": [],\n"
+            "  \"big\": 18446744073709551615,\n"
+            "  \"flag\": true,\n"
+            "  \"none\": null,\n"
+            "  \"t\\tk\": \"q\\\"\"\n"
+            "}\n");
+}
+
+TEST(JsonWriterDeathTest, RejectsMisplacedMembersAndOpenDocuments) {
+#if BRAIDIO_CONTRACTS_ENABLED
+  EXPECT_DEATH(json::Writer().begin_array().key("k"), "REQUIRE");
+  EXPECT_DEATH(json::Writer().begin_object().value(1), "REQUIRE");
+  EXPECT_DEATH(json::Writer().begin_object().end_array(), "REQUIRE");
+  EXPECT_DEATH((void)json::Writer().begin_object().str(), "REQUIRE");
+  EXPECT_DEATH(json::Writer().value(1).value(2), "REQUIRE");
+#else
+  GTEST_SKIP() << "contracts disabled";
+#endif
 }
 
 TEST(Log, LevelGateWorks) {
