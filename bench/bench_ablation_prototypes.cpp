@@ -35,11 +35,11 @@ int main(int argc, char** argv) {
       [&](sim::SweepPoint& p) {
         const auto& proto = protos[p.axis_index(0)];
         auto candidates = core::prototype_candidates(proto, v3);
-        std::vector<core::ModeCandidate> fast;
+        std::vector<hal::OperatingPoint> fast;
         double peak = 0.0;
         for (const auto& c : candidates) {
           peak = std::max({peak, c.tx_power_w, c.rx_power_w});
-          if (c.rate == phy::Bitrate::M1) fast.push_back(c);
+          if (c.rate == hal::Bitrate::M1) fast.push_back(c);
         }
         const auto plan = core::OffloadPlanner::plan(fast, 1.0, 1.0);
         sim::RunRecord record;

@@ -18,10 +18,10 @@ int main() {
 
   // The demonstration set from the test suite: a cheap crawling braid
   // (Y+Z) vs an expensive fast symmetric mode (X), equal batteries.
-  std::vector<ModeCandidate> candidates = {
-      {phy::LinkMode::Active, phy::Bitrate::M1, 0.1, 0.1},
-      {phy::LinkMode::Backscatter, phy::Bitrate::k10, 5e-5, 2e-4},
-      {phy::LinkMode::PassiveRx, phy::Bitrate::M1, 0.2, 0.05},
+  std::vector<hal::OperatingPoint> candidates = {
+      {hal::LinkMode::Active, hal::Bitrate::M1, 0.1, 0.1},
+      {hal::LinkMode::Backscatter, hal::Bitrate::k10, 5e-5, 2e-4},
+      {hal::LinkMode::PassiveRx, hal::Bitrate::M1, 0.2, 0.05},
   };
 
   util::TablePrinter out({"throughput floor", "achieved", "total nJ/bit",

@@ -6,20 +6,20 @@
 // Hamming(7,4)), at a 4/7 throughput cost.
 #include <iostream>
 
+#include "backends/backends.hpp"
 #include "bench_common.hpp"
 #include "core/coded_candidates.hpp"
 #include "mac/fec.hpp"
-#include "phy/link_budget.hpp"
 #include "util/table.hpp"
 
 namespace {
 
-double coded_range(const braidio::phy::LinkBudget& budget,
-                   braidio::phy::LinkMode mode, braidio::phy::Bitrate rate,
+double coded_range(const braidio::hal::ChannelModel& channel,
+                   braidio::hal::LinkMode mode, braidio::hal::Bitrate rate,
                    double target) {
   double lo = 0.05, hi = 100.0;
   auto residual = [&](double d) {
-    return braidio::mac::hamming74_residual_ber(budget.ber(mode, rate, d));
+    return braidio::mac::hamming74_residual_ber(channel.ber(mode, rate, d));
   };
   if (residual(hi) <= target) return hi;
   if (residual(lo) > target) return 0.0;
@@ -36,22 +36,23 @@ int main() {
   using namespace braidio;
   bench::header("Extension", "FEC (Hamming 7,4 + interleaving) range gains");
 
-  phy::LinkBudget budget;
+  const core::RegimeMap map(backends::braidio_backend());
+  const hal::ChannelModel& channel = map.channel();
   util::TablePrinter out({"link", "uncoded range", "coded range",
                           "range gain", "effective bitrate"});
-  for (phy::LinkMode mode :
-       {phy::LinkMode::Backscatter, phy::LinkMode::PassiveRx}) {
-    for (phy::Bitrate rate : phy::kAllBitrates) {
-      const double uncoded = budget.range_m(mode, rate);
-      const double coded = coded_range(budget, mode, rate, 0.01);
-      out.add_row({std::string(phy::to_string(mode)) + "@" +
-                       phy::to_string(rate),
+  for (hal::LinkMode mode :
+       {hal::LinkMode::Backscatter, hal::LinkMode::PassiveRx}) {
+    for (hal::Bitrate rate : hal::kAllBitrates) {
+      const double uncoded = channel.range_m(mode, rate);
+      const double coded = coded_range(channel, mode, rate, 0.01);
+      out.add_row({std::string(hal::to_string(mode)) + "@" +
+                       hal::to_string(rate),
                    util::format_fixed(uncoded, 2) + " m",
                    util::format_fixed(coded, 2) + " m",
                    util::format_fixed(100.0 * (coded / uncoded - 1.0), 1) +
                        " %",
                    util::format_engineering(
-                       phy::bitrate_bps(rate) *
+                       hal::bitrate_bps(rate) *
                            mac::Hamming74::code_rate() / 1e3,
                        3) +
                        " kbps"});
@@ -59,8 +60,6 @@ int main() {
   }
   out.print(std::cout);
 
-  core::PowerTable table;
-  core::RegimeMap map(table, budget);
   bench::check_line("Regime A limit (carrier offloadable to either end)",
                     "2.4 m uncoded",
                     util::format_fixed(core::coded_regime_a_limit_m(map), 2) +

@@ -42,8 +42,8 @@ int main() {
   phy::LinkBudget budget;
   bench::check_line("wake-up range (passive link @10 kbps)", "5.1 m",
                     util::format_fixed(
-                        budget.range_m(phy::LinkMode::PassiveRx,
-                                       phy::Bitrate::k10),
+                        budget.range_m(hal::LinkMode::PassiveRx,
+                                       hal::Bitrate::k10),
                         1) +
                         " m");
   bench::note("The same charge-pump receiver that makes backscatter cheap "

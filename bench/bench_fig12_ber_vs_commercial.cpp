@@ -33,10 +33,10 @@ int main(int argc, char** argv) {
       [&](sim::SweepPoint& p) {
         const double d = distances[p.axis_index(0)];
         const double analytic =
-            braidio.ber(phy::LinkMode::Backscatter, phy::Bitrate::k100, d);
+            braidio.ber(hal::LinkMode::Backscatter, hal::Bitrate::k100, d);
         phy::WaveformSimConfig mc;
-        mc.mode = phy::LinkMode::Backscatter;
-        mc.rate = phy::Bitrate::k100;
+        mc.mode = hal::LinkMode::Backscatter;
+        mc.rate = hal::Bitrate::k100;
         mc.distance_m = d;
         mc.bits = 30'000;
         mc.seed = p.seed();
@@ -58,16 +58,16 @@ int main(int argc, char** argv) {
   report.export_json("fig12_ber_vs_commercial", out);
 
   report.check("Braidio operational distance (BER < 1e-2)", "1.8 m",
-               util::format_fixed(braidio.range_m(phy::LinkMode::Backscatter,
-                                                  phy::Bitrate::k100),
+               util::format_fixed(braidio.range_m(hal::LinkMode::Backscatter,
+                                                  hal::Bitrate::k100),
                                   2) +
                    " m");
   report.check("commercial reader operational distance", "3 m",
                util::format_fixed(reader.range_m(), 2) + " m");
   report.check("range penalty", "~40% lower",
                util::format_fixed(
-                   100.0 * (1.0 - braidio.range_m(phy::LinkMode::Backscatter,
-                                                  phy::Bitrate::k100) /
+                   100.0 * (1.0 - braidio.range_m(hal::LinkMode::Backscatter,
+                                                  hal::Bitrate::k100) /
                                       reader.range_m()),
                    0) +
                    "% lower");

@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
                         "bitrates");
 
   phy::LinkBudget budget;
-  auto cell = [&](phy::LinkMode mode, phy::Bitrate rate, double d) {
+  auto cell = [&](hal::LinkMode mode, hal::Bitrate rate, double d) {
     const double ber = budget.ber(mode, rate, d);
     return ber < 1e-9 ? std::string("<1e-9")
                       : util::format_scientific(ber, 2);
@@ -34,12 +34,12 @@ int main(int argc, char** argv) {
         const double d = distances[p.axis_index(0)];
         sim::RunRecord record;
         record.cells = {
-            cell(phy::LinkMode::Backscatter, phy::Bitrate::M1, d),
-            cell(phy::LinkMode::Backscatter, phy::Bitrate::k100, d),
-            cell(phy::LinkMode::Backscatter, phy::Bitrate::k10, d),
-            cell(phy::LinkMode::PassiveRx, phy::Bitrate::M1, d),
-            cell(phy::LinkMode::PassiveRx, phy::Bitrate::k100, d),
-            cell(phy::LinkMode::PassiveRx, phy::Bitrate::k10, d)};
+            cell(hal::LinkMode::Backscatter, hal::Bitrate::M1, d),
+            cell(hal::LinkMode::Backscatter, hal::Bitrate::k100, d),
+            cell(hal::LinkMode::Backscatter, hal::Bitrate::k10, d),
+            cell(hal::LinkMode::PassiveRx, hal::Bitrate::M1, d),
+            cell(hal::LinkMode::PassiveRx, hal::Bitrate::k100, d),
+            cell(hal::LinkMode::PassiveRx, hal::Bitrate::k10, d)};
         return record;
       });
 
@@ -50,23 +50,23 @@ int main(int argc, char** argv) {
   report.export_csv("fig13_ber_modes", out);
   report.export_json("fig13_ber_modes", out);
 
-  auto range = [&](phy::LinkMode mode, phy::Bitrate rate) {
+  auto range = [&](hal::LinkMode mode, hal::Bitrate rate) {
     return util::format_fixed(budget.range_m(mode, rate), 2) + " m";
   };
   report.check("backscatter range @1M / @100k / @10k",
                "0.9 / 1.8 / 2.4 m",
-               range(phy::LinkMode::Backscatter, phy::Bitrate::M1) + " / " +
-                   range(phy::LinkMode::Backscatter, phy::Bitrate::k100) +
+               range(hal::LinkMode::Backscatter, hal::Bitrate::M1) + " / " +
+                   range(hal::LinkMode::Backscatter, hal::Bitrate::k100) +
                    " / " +
-                   range(phy::LinkMode::Backscatter, phy::Bitrate::k10));
+                   range(hal::LinkMode::Backscatter, hal::Bitrate::k10));
   report.check("passive range @1M / @100k / @10k", "3.9 / 4.2 / 5.1 m",
-               range(phy::LinkMode::PassiveRx, phy::Bitrate::M1) + " / " +
-                   range(phy::LinkMode::PassiveRx, phy::Bitrate::k100) +
+               range(hal::LinkMode::PassiveRx, hal::Bitrate::M1) + " / " +
+                   range(hal::LinkMode::PassiveRx, hal::Bitrate::k100) +
                    " / " +
-                   range(phy::LinkMode::PassiveRx, phy::Bitrate::k10));
+                   range(hal::LinkMode::PassiveRx, hal::Bitrate::k10));
   report.check("active mode", "operates well beyond 6 m",
-               util::format_fixed(budget.range_m(phy::LinkMode::Active,
-                                                 phy::Bitrate::M1),
+               util::format_fixed(budget.range_m(hal::LinkMode::Active,
+                                                 hal::Bitrate::M1),
                                   0) +
                    " m");
   return 0;

@@ -3,6 +3,7 @@
 // point P for a 100:1 energy ratio.
 #include <iostream>
 
+#include "backends/backends.hpp"
 #include "bench_common.hpp"
 #include "core/efficiency.hpp"
 #include "util/table.hpp"
@@ -11,15 +12,13 @@ int main() {
   using namespace braidio;
   bench::header("Figure 9", "Transmitter vs receiver energy efficiency");
 
-  core::PowerTable table;
-  phy::LinkBudget budget;
-  core::RegimeMap map(table, budget);
+  core::RegimeMap map(backends::braidio_backend());
   const auto region = efficiency_region(map, 0.3);
 
   util::TablePrinter out({"operating point", "TX bits/J", "RX bits/J",
                           "TX:RX ratio"});
   for (const auto& p : region.points) {
-    if (p.candidate.rate != phy::Bitrate::M1) continue;  // Fig. 9: A, B, C
+    if (p.candidate.rate != hal::Bitrate::M1) continue;  // Fig. 9: A, B, C
     out.add_row({p.candidate.label(),
                  util::format_scientific(p.tx_bits_per_joule, 4),
                  util::format_scientific(p.rx_bits_per_joule, 4),

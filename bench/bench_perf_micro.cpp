@@ -28,8 +28,7 @@ namespace {
 using namespace braidio;
 
 void BM_OffloadPlan(benchmark::State& state) {
-  core::PowerTable table;
-  const auto candidates = table.candidates();
+  const auto candidates = backends::braidio_backend().caps().lattice;
   const double ratio = static_cast<double>(state.range(0));
   for (auto _ : state) {
     benchmark::DoNotOptimize(
@@ -39,8 +38,7 @@ void BM_OffloadPlan(benchmark::State& state) {
 BENCHMARK(BM_OffloadPlan)->Arg(1)->Arg(100)->Arg(2546);
 
 void BM_OffloadPlanBidirectional(benchmark::State& state) {
-  core::PowerTable table;
-  const auto candidates = table.candidates();
+  const auto candidates = backends::braidio_backend().caps().lattice;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         core::OffloadPlanner::plan_bidirectional(candidates, 17.0, 1.0));
@@ -54,7 +52,7 @@ void BM_BerEvaluation(benchmark::State& state) {
   for (auto _ : state) {
     d = d > 5.0 ? 0.1 : d + 0.001;
     benchmark::DoNotOptimize(
-        budget.ber(phy::LinkMode::Backscatter, phy::Bitrate::k100, d));
+        budget.ber(hal::LinkMode::Backscatter, hal::Bitrate::k100, d));
   }
 }
 BENCHMARK(BM_BerEvaluation);
@@ -72,8 +70,8 @@ BENCHMARK(BM_Crc16)->Arg(64)->Arg(1024);
 void BM_WaveformMonteCarlo(benchmark::State& state) {
   phy::LinkBudget budget;
   phy::WaveformSimConfig cfg;
-  cfg.mode = phy::LinkMode::Backscatter;
-  cfg.rate = phy::Bitrate::M1;
+  cfg.mode = hal::LinkMode::Backscatter;
+  cfg.rate = hal::Bitrate::M1;
   cfg.distance_m = 0.85;
   cfg.bits = 1000;
   std::uint64_t seed = 0;
@@ -95,9 +93,7 @@ void BM_ChargePumpTransient(benchmark::State& state) {
 BENCHMARK(BM_ChargePumpTransient);
 
 void BM_LifetimeMatrixCell(benchmark::State& state) {
-  core::PowerTable table;
-  phy::LinkBudget budget;
-  core::LifetimeSimulator sim(table, budget);
+  core::LifetimeSimulator sim(backends::braidio_backend());
   const auto& catalog = energy::device_catalog();
   core::LifetimeConfig cfg;
   cfg.distance_m = 0.5;
@@ -127,9 +123,7 @@ void BM_Fig15SweepObs(benchmark::State& state) {
   obs::set_attribution_enabled(attribute);
   obs::reset_global_energy_profile();
 #endif
-  core::PowerTable table;
-  phy::LinkBudget budget;
-  core::LifetimeSimulator sim(table, budget);
+  core::LifetimeSimulator sim(backends::braidio_backend());
   const auto& catalog = energy::device_catalog();
   core::LifetimeConfig cfg;
   cfg.distance_m = 0.5;

@@ -8,6 +8,7 @@
 #include <iostream>
 #include <vector>
 
+#include "backends/backends.hpp"
 #include "bench_common.hpp"
 #include "bench_matrix_common.hpp"
 #include "core/lifetime_sim.hpp"
@@ -65,9 +66,7 @@ int main(int argc, char** argv) {
   report.note("parallel width: " + std::to_string(threads) + " threads");
 
   // Fig. 15 matrix through the engine (the acceptance-criterion workload).
-  core::PowerTable table;
-  phy::LinkBudget budget;
-  core::LifetimeSimulator lifetime(table, budget);
+  core::LifetimeSimulator lifetime(backends::braidio_backend());
   core::LifetimeConfig cfg;
   cfg.distance_m = 0.5;
   compare(report,
@@ -80,14 +79,15 @@ int main(int argc, char** argv) {
 
   // Fig. 12-style Monte-Carlo BER sweep: heavier per point, stochastic —
   // exercises the per-point child-stream seeding rule.
+  const phy::LinkBudget budget;
   std::vector<double> distances;
   for (double d = 0.25; d <= 4.01; d += 0.25) distances.push_back(d);
   sim::Scenario mc_scenario(
       "fig12_mc", {sim::Axis::numeric("d [m]", distances, 2)}, {"mc ber"},
       [&](sim::SweepPoint& p) {
         phy::WaveformSimConfig mc;
-        mc.mode = phy::LinkMode::Backscatter;
-        mc.rate = phy::Bitrate::k100;
+        mc.mode = hal::LinkMode::Backscatter;
+        mc.rate = hal::Bitrate::k100;
         mc.distance_m = distances[p.axis_index(0)];
         mc.bits = 30'000;
         mc.seed = p.seed();

@@ -51,8 +51,8 @@ int main() {
          "charge pump + inst. amplifier",
          util::format_si_power(chain_w) + " chain; sensitivity " +
              util::format_fixed(budget.noise_floor_dbm(
-                                    phy::LinkMode::Backscatter,
-                                    phy::Bitrate::k100),
+                                    hal::LinkMode::Backscatter,
+                                    hal::Bitrate::k100),
                                 1) +
              " dBm vs reader-class -80 dBm"});
   }
@@ -83,8 +83,8 @@ int main() {
                     util::format_fixed(reader.range_m(), 1) + " m vs " +
                         util::format_fixed(
                             phy::LinkBudget().range_m(
-                                phy::LinkMode::Backscatter,
-                                phy::Bitrate::k100),
+                                hal::LinkMode::Backscatter,
+                                hal::Bitrate::k100),
                             1) +
                         " m");
   return 0;

@@ -2,6 +2,7 @@
 // lifetime results at realistic dwells.
 #include <iostream>
 
+#include "backends/backends.hpp"
 #include "bench_common.hpp"
 #include "core/lifetime_sim.hpp"
 #include "util/table.hpp"
@@ -11,30 +12,29 @@ int main() {
   using namespace braidio;
   bench::header("Table 5", "Switching overhead per mode");
 
-  core::PowerTable table;
+  const core::LifetimeSimulator sim(backends::braidio_backend());
+  const core::RegimeMap& map = sim.regimes();
   util::TablePrinter out({"mode", "TX switch-in", "RX switch-in"});
   auto wh = [](double joules) {
     return util::format_scientific(util::joules_to_wh(joules), 3) + " Wh";
   };
-  for (phy::LinkMode mode : phy::kAllLinkModes) {
-    const auto& o = table.switch_overhead(mode);
-    out.add_row({phy::to_string(mode), wh(o.tx_joules), wh(o.rx_joules)});
+  for (hal::LinkMode mode : hal::kAllLinkModes) {
+    const auto& o = map.switch_overhead(mode);
+    out.add_row({hal::to_string(mode), wh(o.tx_joules), wh(o.rx_joules)});
   }
   out.print(std::cout);
 
   bench::check_line("active TX / RX", "1.05e-9 / 1.01e-9 Wh",
-                    wh(table.switch_overhead(phy::LinkMode::Active).tx_joules) +
+                    wh(map.switch_overhead(hal::LinkMode::Active).tx_joules) +
                         " / " +
-                        wh(table.switch_overhead(phy::LinkMode::Active)
+                        wh(map.switch_overhead(hal::LinkMode::Active)
                                .rx_joules));
   bench::check_line(
       "backscatter TX (worst case, 10 kbps)", "8.58e-8 Wh",
-      wh(table.switch_overhead(phy::LinkMode::Backscatter).tx_joules));
+      wh(map.switch_overhead(hal::LinkMode::Backscatter).tx_joules));
 
   // Quantify "negligible": total-bits impact of the overhead at a
   // second-scale dwell for an asymmetric pair.
-  phy::LinkBudget budget;
-  core::LifetimeSimulator sim(table, budget);
   core::LifetimeConfig with;
   with.distance_m = 0.5;
   core::LifetimeConfig without = with;

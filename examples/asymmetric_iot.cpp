@@ -10,8 +10,8 @@
 #include <string>
 #include <vector>
 
+#include "backends/backends.hpp"
 #include "core/braided_link.hpp"
-#include "core/braidio_radio.hpp"
 #include "sim/run_report.hpp"
 #include "sim/scenario.hpp"
 #include "sim/sweep_runner.hpp"
@@ -23,9 +23,8 @@ int main(int argc, char** argv) {
   sim::RunReport report(std::cout, "Example",
                         "Asymmetric IoT: coin-cell sensors -> mains hub");
 
-  core::PowerTable table;
-  phy::LinkBudget budget;
-  core::RegimeMap regimes(table, budget);
+  const hal::RadioBackend& backend = backends::braidio_backend();
+  core::RegimeMap regimes(backend);
 
   struct Sensor {
     std::string name;
@@ -51,10 +50,10 @@ int main(int argc, char** argv) {
         const auto& s = sensors[p.axis_index(0)];
         // Each point builds its own radios: BraidedLink mutates both ends,
         // so no state is shared between concurrent evaluations.
-        core::BraidioRadio node(s.name, 1, util::WattHours(s.battery_wh),
-                                table);
-        core::BraidioRadio hub("hub", 2, util::WattHours(99.5), table);
-        const double e0 = node.battery().remaining_joules();
+        const auto node =
+            backend.create_radio(s.name, 1, util::WattHours(s.battery_wh));
+        const auto hub = backend.create_radio("hub", 2, util::WattHours(99.5));
+        const double e0 = node->battery().remaining_joules();
 
         core::BraidedLinkConfig cfg;
         cfg.distance_m = s.distance_m;
@@ -64,7 +63,7 @@ int main(int argc, char** argv) {
         cfg.extra_loss_db = s.shadowed ? 12.0 : 0.0;
         cfg.seed = p.seed();
 
-        core::BraidedLink link(node, hub, regimes, cfg);
+        core::BraidedLink link(*node, *hub, regimes, cfg);
         const auto stats = link.run(800);
 
         sim::RunRecord record;
@@ -75,7 +74,7 @@ int main(int argc, char** argv) {
                 std::to_string(stats.data_packets_offered),
             std::to_string(stats.fallbacks),
             util::format_scientific(
-                e0 - node.battery().remaining_joules(), 3),
+                e0 - node->battery().remaining_joules(), 3),
             stats.last_plan};
         return record;
       });

@@ -41,7 +41,6 @@
 
 #include "backends/backends.hpp"
 #include "core/braided_link.hpp"
-#include "core/braidio_radio.hpp"
 #include "core/efficiency.hpp"
 #include "core/lifetime_sim.hpp"
 #include "net/network_sim.hpp"
@@ -151,17 +150,17 @@ bool parse_global_flags(std::vector<std::string>& args,
 }
 
 
-std::optional<phy::LinkMode> parse_mode(const std::string& s) {
-  if (s == "active") return phy::LinkMode::Active;
-  if (s == "passive") return phy::LinkMode::PassiveRx;
-  if (s == "backscatter") return phy::LinkMode::Backscatter;
+std::optional<hal::LinkMode> parse_mode(const std::string& s) {
+  if (s == "active") return hal::LinkMode::Active;
+  if (s == "passive") return hal::LinkMode::PassiveRx;
+  if (s == "backscatter") return hal::LinkMode::Backscatter;
   return std::nullopt;
 }
 
-std::optional<phy::Bitrate> parse_rate(const std::string& s) {
-  if (s == "10k") return phy::Bitrate::k10;
-  if (s == "100k") return phy::Bitrate::k100;
-  if (s == "1M") return phy::Bitrate::M1;
+std::optional<hal::Bitrate> parse_rate(const std::string& s) {
+  if (s == "10k") return hal::Bitrate::k10;
+  if (s == "100k") return hal::Bitrate::k100;
+  if (s == "1M") return hal::Bitrate::M1;
   return std::nullopt;
 }
 

@@ -7,8 +7,8 @@
 // for the radio subsystem.
 #include <iostream>
 
+#include "backends/backends.hpp"
 #include "core/braided_link.hpp"
-#include "core/braidio_radio.hpp"
 #include "core/lifetime_sim.hpp"
 #include "energy/device_catalog.hpp"
 #include "obs/obs.hpp"
@@ -22,9 +22,8 @@ int main() {
   constexpr double kSyncsPerDay = 24.0;
   const double bits_per_day = kSyncMB * 8e6 * kSyncsPerDay;
 
-  core::PowerTable table;
-  phy::LinkBudget budget;
-  core::LifetimeSimulator sim(table, budget);
+  const hal::RadioBackend& backend = backends::braidio_backend();
+  core::LifetimeSimulator sim(backend);
 
   const auto band = *energy::find_device("Nike Fuel Band");
   const auto phone = *energy::find_device("iPhone 6S");
@@ -57,23 +56,22 @@ int main() {
 
   // Run one sync session through the packetized protocol to confirm the
   // plan is achievable with real framing/ARQ.
-  core::RegimeMap regimes(table, budget);
-  core::BraidioRadio a("band", 1, util::WattHours(band.battery_wh),
-                       table);
-  core::BraidioRadio b("phone", 2, util::WattHours(phone.battery_wh),
-                       table);
+  const auto a =
+      backend.create_radio("band", 1, util::WattHours(band.battery_wh));
+  const auto b =
+      backend.create_radio("phone", 2, util::WattHours(phone.battery_wh));
   core::BraidedLinkConfig link_cfg;
   link_cfg.distance_m = cfg.distance_m;
   link_cfg.payload_bytes = 256;
-  core::BraidedLink link(a, b, regimes, link_cfg);
+  core::BraidedLink link(*a, *b, sim.regimes(), link_cfg);
   const auto stats = link.run(1000);  // 256 kB batch
   std::cout << "one sync batch: " << stats.payload_bits_delivered / 8e3
             << " kB delivered, band spent "
             << util::wh_to_joules(band.battery_wh) -
-                   a.battery().remaining_joules()
+                   a->battery().remaining_joules()
             << " J, phone "
             << util::wh_to_joules(phone.battery_wh) -
-                   b.battery().remaining_joules()
+                   b->battery().remaining_joules()
             << " J\n";
   std::cout << "executed plan: " << stats.last_plan << '\n';
 

@@ -6,7 +6,6 @@
 
 #include "baseline/bluetooth.hpp"
 #include "baseline/reader.hpp"
-#include "core/braidio_radio.hpp"
 #include "core/power_table.hpp"
 #include "phy/link_budget.hpp"
 
@@ -51,22 +50,26 @@ class BraidioBackend final : public StandardBackend {
                         "Calibrated Braidio prototype: active, passive-RX, "
                         "and backscatter at 10k/100k/1M (PowerTable + "
                         "Fig. 13 link budget)") {
-    caps_ = core::braidio_capabilities(table_);
+    // All three modes at all three bitrates, carrier sourcing, tag
+    // reflection, and Table 5 switch-in costs.
+    const core::PowerTable table;
+    caps_.can_active = true;
+    caps_.can_source_carrier = true;
+    caps_.can_backscatter = true;
+    // The passive chain's envelope detector doubles as a carrier sensor.
+    caps_.can_cca = true;
+    caps_.cca_threshold_dbm = -60.0;
+    caps_.sleep_power = util::Watts{2e-6};  // MCU retention + RTC
+    caps_.lattice = table.candidates();
+    for (LinkMode mode : hal::kAllLinkModes) {
+      caps_.switch_overhead[static_cast<int>(mode)] =
+          table.switch_overhead(mode);
+    }
   }
 
   const hal::ChannelModel& channel() const override { return budget_; }
 
-  std::unique_ptr<hal::IRadio> create_radio(
-      std::string name, std::uint8_t address,
-      util::WattHours battery_capacity) const override {
-    // The table-bound subclass, not a caps copy: keeps the braidio backend
-    // the same concrete type the pre-HAL stack instantiated.
-    return std::make_unique<core::BraidioRadio>(std::move(name), address,
-                                                battery_capacity, table_);
-  }
-
  private:
-  core::PowerTable table_;
   phy::LinkBudget budget_;
 };
 

@@ -60,21 +60,21 @@ CommercialReaderModel::CommercialReaderModel(Config config)
     : config_(config), budget_(reader_budget_config(config)) {}
 
 double CommercialReaderModel::received_power_dbm(double distance_m) const {
-  return budget_.received_power_dbm(phy::LinkMode::Backscatter, distance_m);
+  return budget_.received_power_dbm(hal::LinkMode::Backscatter, distance_m);
 }
 
 double CommercialReaderModel::snr_db(double distance_m) const {
-  return budget_.snr_db(phy::LinkMode::Backscatter, phy::Bitrate::k100,
+  return budget_.snr_db(hal::LinkMode::Backscatter, hal::Bitrate::k100,
                         distance_m);
 }
 
 double CommercialReaderModel::ber(double distance_m) const {
-  return budget_.ber(phy::LinkMode::Backscatter, phy::Bitrate::k100,
+  return budget_.ber(hal::LinkMode::Backscatter, hal::Bitrate::k100,
                      distance_m);
 }
 
 double CommercialReaderModel::range_m() const {
-  return budget_.range_m(phy::LinkMode::Backscatter, phy::Bitrate::k100);
+  return budget_.range_m(hal::LinkMode::Backscatter, hal::Bitrate::k100);
 }
 
 double CommercialReaderModel::efficiency_ratio_vs(double other_power_w) const {

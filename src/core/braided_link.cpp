@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "core/braidio_radio.hpp"  // core::Role alias
 #include "mac/probe.hpp"
 #include "obs/obs.hpp"
 
@@ -59,12 +58,12 @@ BraidedLink::BraidedLink(hal::IRadio& device_a, hal::IRadio& device_b,
   channel_.set_impairments(config_.impairments);
 }
 
-ModeCandidate BraidedLink::active_point() const {
+hal::OperatingPoint BraidedLink::active_point() const {
   // The control/fallback plane rides the most conversational mode the
   // hardware offers: active when present, else the first supported mode
   // (a reader-class backend braids over backscatter alone).
-  for (phy::LinkMode mode : {phy::LinkMode::Active, phy::LinkMode::PassiveRx,
-                             phy::LinkMode::Backscatter}) {
+  for (hal::LinkMode mode : {hal::LinkMode::Active, hal::LinkMode::PassiveRx,
+                             hal::LinkMode::Backscatter}) {
     if (!regimes_.supports(mode)) continue;
     const auto rate = regimes_.best_rate(mode, config_.distance_m);
     return regimes_.candidate(mode, rate.value_or(*regimes_.lowest_rate(mode)));
@@ -72,7 +71,7 @@ ModeCandidate BraidedLink::active_point() const {
   throw std::logic_error("BraidedLink: backend lattice is empty");
 }
 
-util::Seconds BraidedLink::ack_timeout(const ModeCandidate& point) const {
+util::Seconds BraidedLink::ack_timeout(const hal::OperatingPoint& point) const {
   if (config_.ack_timeout.value() > 0.0) return config_.ack_timeout;
   // Auto: the sender must stay in receive for at least one ACK airtime at
   // the operating rate plus the peer's half-duplex turnaround before it can
@@ -83,7 +82,7 @@ util::Seconds BraidedLink::ack_timeout(const ModeCandidate& point) const {
                        kTurnaroundS);
 }
 
-util::Seconds BraidedLink::backoff(const ModeCandidate& point,
+util::Seconds BraidedLink::backoff(const hal::OperatingPoint& point,
                                    unsigned attempt) {
   const double base = config_.backoff_base.value() > 0.0
                           ? config_.backoff_base.value()
@@ -128,7 +127,8 @@ void BraidedLink::apply_fault_edges() {
   faults_applied_to_s_ = now;
 }
 
-bool BraidedLink::spend(const ModeCandidate& point, util::Seconds elapsed) {
+bool BraidedLink::spend(const hal::OperatingPoint& point,
+                        util::Seconds elapsed) {
   stats_.mode_airtime_s[point.label()] += elapsed.value();
   stats_.elapsed_s += elapsed.value();
   const bool a_ok = a_.advance(elapsed);
@@ -142,7 +142,7 @@ bool BraidedLink::spend(const ModeCandidate& point, util::Seconds elapsed) {
 
 bool BraidedLink::send_control(mac::FrameType type,
                                std::vector<std::uint8_t> payload,
-                               const ModeCandidate& point) {
+                               const hal::OperatingPoint& point) {
   // Control frames ride the active link: best-effort with a few tries,
   // separated by the same jittered exponential backoff the data plane uses
   // so a burst outage does not hammer the channel at line rate.
@@ -163,8 +163,8 @@ bool BraidedLink::send_control(mac::FrameType type,
 void BraidedLink::setup_control_plane() {
   BRAIDIO_ENERGY_SPAN(phase_span, "control");
   const auto active = active_point();
-  if (!a_.switch_to(active, Role::DataTransmitter) ||
-      !b_.switch_to(active, Role::DataReceiver)) {
+  if (!a_.switch_to(active, hal::Role::DataTransmitter) ||
+      !b_.switch_to(active, hal::Role::DataReceiver)) {
     dead_ = true;
     return;
   }
@@ -249,14 +249,14 @@ std::vector<BraidedLink::SlotEntry> BraidedLink::build_schedule() const {
   return slots;
 }
 
-bool BraidedLink::transfer_packet(const ModeCandidate& point, bool forward,
-                                  mac::ArqSender& sender,
+bool BraidedLink::transfer_packet(const hal::OperatingPoint& point,
+                                  bool forward, mac::ArqSender& sender,
                                   mac::ArqReceiver& receiver) {
   BRAIDIO_ENERGY_SPAN(phase_span, "data");
   hal::IRadio& tx = forward ? a_ : b_;
   hal::IRadio& rx = forward ? b_ : a_;
-  if (!tx.switch_to(point, Role::DataTransmitter) ||
-      !rx.switch_to(point, Role::DataReceiver)) {
+  if (!tx.switch_to(point, hal::Role::DataTransmitter) ||
+      !rx.switch_to(point, hal::Role::DataReceiver)) {
     dead_ = true;
     return false;
   }
@@ -389,7 +389,7 @@ BraidedLinkStats BraidedLink::run(std::uint64_t packets) {
         // A bidirectional slot without a reverse candidate must NOT reuse
         // the forward point: its energy split was optimized for the
         // opposite asymmetry. Fall back to the symmetric active point.
-        const ModeCandidate point =
+        const hal::OperatingPoint point =
             forward ? entry.forward
                     : (entry.reverse ? *entry.reverse : active_point());
         ++offered;

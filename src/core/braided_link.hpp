@@ -131,28 +131,28 @@ class BraidedLink {
 
  private:
   struct SlotEntry {
-    ModeCandidate forward;
-    std::optional<ModeCandidate> reverse;  // set in bidirectional plans
+    hal::OperatingPoint forward;
+    std::optional<hal::OperatingPoint> reverse;  // set in bidirectional plans
   };
 
   void setup_control_plane();
   void replan();
   bool send_control(mac::FrameType type, std::vector<std::uint8_t> payload,
-                    const ModeCandidate& point);
+                    const hal::OperatingPoint& point);
   /// Charge both radios for `elapsed` time in `point`; `a_transmits`
   /// selects the role split. Returns false when a battery dies.
-  bool spend(const ModeCandidate& point, util::Seconds elapsed);
+  bool spend(const hal::OperatingPoint& point, util::Seconds elapsed);
   /// One ARQ exchange in the given direction over `point`. Returns true
   /// when the payload was delivered and acked.
-  bool transfer_packet(const ModeCandidate& point, bool forward,
+  bool transfer_packet(const hal::OperatingPoint& point, bool forward,
                        mac::ArqSender& sender, mac::ArqReceiver& receiver);
-  ModeCandidate active_point() const;
+  hal::OperatingPoint active_point() const;
   /// Build the slot-level schedule realizing the plan fractions.
   std::vector<SlotEntry> build_schedule() const;
   /// The ACK-timeout listen window for `point` (config or auto-derived).
-  util::Seconds ack_timeout(const ModeCandidate& point) const;
+  util::Seconds ack_timeout(const hal::OperatingPoint& point) const;
   /// Jittered exponential backoff before retry `attempt` (1-based).
-  util::Seconds backoff(const ModeCandidate& point, unsigned attempt);
+  util::Seconds backoff(const hal::OperatingPoint& point, unsigned attempt);
   /// Consume fault-schedule edges up to the current sim time: trace
   /// activations, apply distance jumps and battery brownouts.
   void apply_fault_edges();

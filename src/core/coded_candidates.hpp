@@ -3,7 +3,7 @@
 // Hamming(7,4)+interleaving (mac/fec) converts SNR margin into range: a
 // link whose raw BER is above the 1e-2 threshold can still deliver a
 // residual BER below it after decoding, at a 4/7 throughput cost. Exposing
-// "coded backscatter@10k" etc. as additional ModeCandidates lets Eq. 1
+// "coded backscatter@10k" etc. as additional operating points lets Eq. 1
 // braid them like any other mode — which *extends Regime A*: the carrier
 // can be offloaded to either end out to the coded backscatter limit
 // (~2.7 m instead of 2.4 m with the default calibration).
@@ -11,26 +11,25 @@
 
 #include <vector>
 
-#include "core/power_table.hpp"
 #include "core/regimes.hpp"
-#include "phy/link_budget.hpp"
+#include "hal/channel_model.hpp"
 
 namespace braidio::core {
 
 struct CodedCandidate {
-  ModeCandidate candidate;  // per-bit powers at the *effective* bitrate
+  hal::OperatingPoint candidate;  // per-bit powers at the *effective* bitrate
   bool coded = false;
 };
 
 /// The coded operating range of (mode, rate): largest distance where the
-/// Hamming(7,4) residual BER stays under the budget's threshold.
-double coded_range_m(const phy::LinkBudget& budget, phy::LinkMode mode,
-                     phy::Bitrate rate);
+/// Hamming(7,4) residual BER stays under the channel's threshold.
+double coded_range_m(const hal::ChannelModel& channel, hal::LinkMode mode,
+                     hal::Bitrate rate);
 
 /// True if the coded link works at `distance_m` (residual BER under the
 /// threshold).
-bool coded_available(const phy::LinkBudget& budget, phy::LinkMode mode,
-                     phy::Bitrate rate, double distance_m);
+bool coded_available(const hal::ChannelModel& channel, hal::LinkMode mode,
+                     hal::Bitrate rate, double distance_m);
 
 /// Candidate set at a distance including coded variants where (a) the
 /// uncoded link is dead and (b) the coded link still clears the threshold.

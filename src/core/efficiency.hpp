@@ -9,13 +9,12 @@
 #include <string>
 #include <vector>
 
-#include "core/power_table.hpp"
 #include "core/regimes.hpp"
 
 namespace braidio::core {
 
 struct EfficiencyPoint {
-  ModeCandidate candidate;
+  hal::OperatingPoint candidate;
   double tx_bits_per_joule = 0.0;
   double rx_bits_per_joule = 0.0;
   /// TX:RX efficiency ratio (1/2546 for passive@1M, 3546 for

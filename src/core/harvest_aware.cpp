@@ -17,24 +17,24 @@ double harvested_power_w(const HarvestAwareConfig& config,
   return config.duty_efficiency * harvester.harvested_watts(incident_dbm);
 }
 
-std::vector<ModeCandidate> harvest_adjusted_candidates(
+std::vector<hal::OperatingPoint> harvest_adjusted_candidates(
     const RegimeMap& map, double distance_m,
     const HarvestAwareConfig& config) {
   const double credit = harvested_power_w(config, distance_m);
-  std::vector<ModeCandidate> out;
+  std::vector<hal::OperatingPoint> out;
   for (auto candidate : map.available_best_rate(distance_m)) {
     switch (candidate.mode) {
-      case phy::LinkMode::Backscatter:
+      case hal::LinkMode::Backscatter:
         // The data transmitter is the tag under the receiver's carrier.
         candidate.tx_power_w =
             std::max(candidate.tx_power_w - credit, 1e-12);
         break;
-      case phy::LinkMode::PassiveRx:
+      case hal::LinkMode::PassiveRx:
         // The data receiver sits under the transmitter's carrier.
         candidate.rx_power_w =
             std::max(candidate.rx_power_w - credit, 1e-12);
         break;
-      case phy::LinkMode::Active:
+      case hal::LinkMode::Active:
         break;  // no remote carrier to harvest
     }
     out.push_back(candidate);
@@ -42,13 +42,13 @@ std::vector<ModeCandidate> harvest_adjusted_candidates(
   return out;
 }
 
-double tag_break_even_distance_m(const RegimeMap& map, phy::Bitrate rate,
+double tag_break_even_distance_m(const RegimeMap& map, hal::Bitrate rate,
                                  const HarvestAwareConfig& config) {
-  const auto& tag =
-      map.table().candidate(phy::LinkMode::Backscatter, rate);
+  const auto& tag = map.candidate(hal::LinkMode::Backscatter, rate);
   // harvested power decreases monotonically with distance; bisect where it
   // crosses the tag draw, bounded by the link's own operating range.
-  const double range = map.budget().range_m(phy::LinkMode::Backscatter, rate);
+  const double range =
+      map.channel().range_m(hal::LinkMode::Backscatter, rate);
   if (range <= 0.0) return 0.0;
   auto neutral = [&](double d) {
     return harvested_power_w(config, d) >= tag.tx_power_w;

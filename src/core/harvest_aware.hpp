@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "circuits/harvester.hpp"
-#include "core/power_table.hpp"
 #include "core/regimes.hpp"
 
 namespace braidio::core {
@@ -33,13 +32,13 @@ double harvested_power_w(const HarvestAwareConfig& config, double distance_m);
 /// Candidates with the harvest credit applied to the non-carrier end's
 /// power (clamped at zero: surplus cannot be exported through Eq. 1).
 /// Active-mode entries are untouched (no remote carrier to harvest).
-std::vector<ModeCandidate> harvest_adjusted_candidates(
+std::vector<hal::OperatingPoint> harvest_adjusted_candidates(
     const RegimeMap& map, double distance_m,
     const HarvestAwareConfig& config = {});
 
 /// Largest distance at which the backscatter tag end is energy-neutral
 /// (harvest covers the tag's own draw at the given bitrate); 0 if nowhere.
-double tag_break_even_distance_m(const RegimeMap& map, phy::Bitrate rate,
+double tag_break_even_distance_m(const RegimeMap& map, hal::Bitrate rate,
                                  const HarvestAwareConfig& config = {});
 
 }  // namespace braidio::core

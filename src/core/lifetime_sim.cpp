@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "core/braidio_radio.hpp"
 #include "obs/obs.hpp"
 #include "util/contract.hpp"
 #include "util/units.hpp"
@@ -32,11 +31,11 @@ void post_lifetime_attribution(const LifetimeOutcome& outcome) {
       const double j2 = fwd_bits * e.candidate.rx_joules_per_bit();
       obs::post_energy(
           energy::to_string(
-              category_for(e.candidate.mode, Role::DataTransmitter)),
+              hal::category_for(e.candidate.mode, hal::Role::DataTransmitter)),
           j1, nan);
       obs::post_energy(
           energy::to_string(
-              category_for(e.candidate.mode, Role::DataReceiver)),
+              hal::category_for(e.candidate.mode, hal::Role::DataReceiver)),
           j2, nan);
       d1 += j1;
       d2 += j2;
@@ -48,11 +47,11 @@ void post_lifetime_attribution(const LifetimeOutcome& outcome) {
       const double j2 = 0.5 * entry_bits * e.reverse->tx_joules_per_bit();
       obs::post_energy(
           energy::to_string(
-              category_for(e.reverse->mode, Role::DataReceiver)),
+              hal::category_for(e.reverse->mode, hal::Role::DataReceiver)),
           j1, nan);
       obs::post_energy(
           energy::to_string(
-              category_for(e.reverse->mode, Role::DataTransmitter)),
+              hal::category_for(e.reverse->mode, hal::Role::DataTransmitter)),
           j2, nan);
       d1 += j1;
       d2 += j2;
@@ -72,14 +71,10 @@ void post_lifetime_attribution(const LifetimeOutcome& outcome) {
 
 }  // namespace
 
-LifetimeSimulator::LifetimeSimulator(const PowerTable& table,
-                                     const phy::LinkBudget& budget)
-    : regimes_(table, budget) {}
-
 LifetimeSimulator::LifetimeSimulator(const hal::RadioBackend& backend)
     : regimes_(backend) {}
 
-std::vector<ModeCandidate> LifetimeSimulator::candidates_at(
+std::vector<hal::OperatingPoint> LifetimeSimulator::candidates_at(
     double distance_m) const {
   // Sec. 4.2: probing reports, per mode, the highest bitrate the link
   // sustains; the planner mixes over those.
@@ -91,7 +86,7 @@ std::vector<ModeCandidate> LifetimeSimulator::candidates_at(
 }
 
 OffloadPlan LifetimeSimulator::planned(
-    const std::vector<ModeCandidate>& candidates, double e1, double e2,
+    const std::vector<hal::OperatingPoint>& candidates, double e1, double e2,
     bool bidirectional) const {
   return bidirectional
              ? OffloadPlanner::plan_bidirectional(candidates, e1, e2)
@@ -127,19 +122,6 @@ void LifetimeSimulator::apply_switch_overhead(
   }
   plan.tx_joules_per_bit += tx_extra / cycle_bits;
   plan.rx_joules_per_bit += rx_extra / cycle_bits;
-}
-
-double LifetimeSimulator::plan_seconds_per_bit(const OffloadPlan& plan) {
-  double s = 0.0;
-  for (const auto& e : plan.entries) {
-    if (e.reverse) {
-      s += e.fraction * (0.5 / e.candidate.bits_per_second() +
-                         0.5 / e.reverse->bits_per_second());
-    } else {
-      s += e.fraction / e.candidate.bits_per_second();
-    }
-  }
-  return s;
 }
 
 LifetimeOutcome LifetimeSimulator::braidio(util::Joules e1, util::Joules e2,
@@ -183,7 +165,7 @@ LifetimeOutcome LifetimeSimulator::braidio(util::Joules e1, util::Joules e2,
       outcome.plan = exclusive;
     }
   }
-  outcome.seconds = outcome.bits * plan_seconds_per_bit(outcome.plan);
+  outcome.seconds = outcome.bits * outcome.plan.seconds_per_bit();
   obs::count(obs::Counter::LifetimeRuns);
   if (obs::attribution_enabled()) post_lifetime_attribution(outcome);
   // Lifetime monotonicity: a braid never moves fewer bits than the best
@@ -204,7 +186,7 @@ double LifetimeSimulator::bluetooth_bits(util::Joules e1, util::Joules e2,
              : bluetooth_.bits_until_depletion(e1.value(), e2.value());
 }
 
-double LifetimeSimulator::single_mode_bits(const ModeCandidate& candidate,
+double LifetimeSimulator::single_mode_bits(const hal::OperatingPoint& candidate,
                                            util::Joules e1, util::Joules e2,
                                            bool bidirectional) const {
   const double t = candidate.tx_joules_per_bit();

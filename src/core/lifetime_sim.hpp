@@ -37,15 +37,12 @@ struct LifetimeOutcome {
 };
 
 /// Concurrency contract: every public method is const and touches only
-/// immutable state (the power table, regime map, and Bluetooth model are
-/// built in the constructor and never mutated), so one simulator instance
-/// may be shared by all sim-engine sweep workers. Audited for the sim
-/// engine; keep new members const-initialized or re-audit.
+/// immutable state (the regime map and Bluetooth model are built in the
+/// constructor and never mutated), so one simulator instance may be
+/// shared by all sim-engine sweep workers. Audited for the sim engine;
+/// keep new members const-initialized or re-audit.
 class LifetimeSimulator {
  public:
-  /// Legacy braidio form. Both references must outlive the simulator.
-  LifetimeSimulator(const PowerTable& table, const phy::LinkBudget& budget);
-
   /// Any HAL backend (lattice + channel + overheads from its declared
   /// capability set). The backend must outlive the simulator.
   explicit LifetimeSimulator(const hal::RadioBackend& backend);
@@ -60,7 +57,7 @@ class LifetimeSimulator {
                         bool bidirectional) const;
 
   /// A single (mode, bitrate) used exclusively.
-  double single_mode_bits(const ModeCandidate& candidate, util::Joules e1,
+  double single_mode_bits(const hal::OperatingPoint& candidate, util::Joules e1,
                           util::Joules e2, bool bidirectional) const;
 
   /// Best single mode available at the configured distance (Fig. 16
@@ -84,12 +81,11 @@ class LifetimeSimulator {
   const RegimeMap& regimes() const { return regimes_; }
 
  private:
-  std::vector<ModeCandidate> candidates_at(double distance_m) const;
-  OffloadPlan planned(const std::vector<ModeCandidate>& candidates,
+  std::vector<hal::OperatingPoint> candidates_at(double distance_m) const;
+  OffloadPlan planned(const std::vector<hal::OperatingPoint>& candidates,
                       double e1, double e2, bool bidirectional) const;
   void apply_switch_overhead(OffloadPlan& plan,
                              const LifetimeConfig& config) const;
-  static double plan_seconds_per_bit(const OffloadPlan& plan);
 
   RegimeMap regimes_;
   baseline::BluetoothRadioModel bluetooth_;

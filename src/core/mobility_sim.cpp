@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "baseline/bluetooth.hpp"
-#include "core/braidio_radio.hpp"
 #include "obs/obs.hpp"
 #include "util/units.hpp"
 
@@ -74,10 +73,6 @@ double MobilityTrace::distance_at(util::Seconds time) const {
   return waypoints_.back().distance_m;
 }
 
-MobilitySimulator::MobilitySimulator(const PowerTable& table,
-                                     const phy::LinkBudget& budget)
-    : regimes_(table, budget) {}
-
 MobilitySimulator::MobilitySimulator(const hal::RadioBackend& backend)
     : regimes_(backend) {}
 
@@ -139,16 +134,7 @@ MobilityOutcome MobilitySimulator::run(const MobilityTrace& trace,
                             sample.plan.c_str(), t, d);
       }
       // Throughput of the braid: seconds per bit from the mode mix.
-      double s_per_bit = 0.0;
-      for (const auto& e : plan.entries) {
-        if (e.reverse) {
-          s_per_bit += e.fraction * (0.5 / e.candidate.bits_per_second() +
-                                     0.5 / e.reverse->bits_per_second());
-        } else {
-          s_per_bit += e.fraction / e.candidate.bits_per_second();
-        }
-      }
-      double bits = dt / s_per_bit;
+      double bits = dt / plan.seconds_per_bit();
       // Battery-limited cap.
       bits = std::min(bits, e1 / plan.tx_joules_per_bit);
       bits = std::min(bits, e2 / plan.rx_joules_per_bit);
@@ -160,13 +146,14 @@ MobilityOutcome MobilitySimulator::run(const MobilityTrace& trace,
         if (e.fraction > dominant->fraction) dominant = &e;
       }
       interval_label = dominant->candidate.label();
-      cat1 = category_for(dominant->candidate.mode, Role::DataTransmitter);
-      cat2 = category_for(dominant->candidate.mode, Role::DataReceiver);
+      const hal::LinkMode mode = dominant->candidate.mode;
+      cat1 = hal::category_for(mode, hal::Role::DataTransmitter);
+      cat2 = hal::category_for(mode, hal::Role::DataReceiver);
     }
     // Bluetooth baseline on the same trace: works wherever its (active)
     // link works, same per-bit energies everywhere.
-    if (regimes_.channel().available(phy::LinkMode::Active, phy::Bitrate::M1,
-                                    d) &&
+    if (regimes_.channel().available(hal::LinkMode::Active, hal::Bitrate::M1,
+                                     d) &&
         bt1 > 0.0 && bt2 > 0.0) {
       double bt_bits = dt * bluetooth.bitrate_bps;
       bt_bits = std::min(bt_bits, bt1 / bluetooth.tx_energy_per_bit());

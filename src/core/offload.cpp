@@ -54,8 +54,8 @@ Mix evaluate_pair(const std::vector<CostPoint>& costs, std::size_t i,
 }
 
 OffloadPlan solve(const std::vector<CostPoint>& costs,
-                  const std::vector<ModeCandidate>& candidates,
-                  const std::vector<ModeCandidate>& reverse_candidates,
+                  const std::vector<hal::OperatingPoint>& candidates,
+                  const std::vector<hal::OperatingPoint>& reverse_candidates,
                   double e1, double e2) {
   const double k = e1 / e2;
 
@@ -119,7 +119,7 @@ OffloadPlan solve(const std::vector<CostPoint>& costs,
   return plan;
 }
 
-void check_inputs(const std::vector<ModeCandidate>& candidates,
+void check_inputs(const std::vector<hal::OperatingPoint>& candidates,
                   double e1_joules, double e2_joules) {
   if (candidates.empty()) {
     throw std::invalid_argument("OffloadPlanner: no candidates");
@@ -153,16 +153,21 @@ OffloadPlan checked_plan(OffloadPlan plan) {
 
 }  // namespace
 
-double plan_throughput_bps(const OffloadPlan& plan) {
-  double s_per_bit = 0.0;
-  for (const auto& e : plan.entries) {
+double OffloadPlan::seconds_per_bit() const {
+  double s = 0.0;
+  for (const auto& e : entries) {
     if (e.reverse) {
-      s_per_bit += e.fraction * (0.5 / e.candidate.bits_per_second() +
-                                 0.5 / e.reverse->bits_per_second());
+      s += e.fraction * (0.5 / e.candidate.bits_per_second() +
+                         0.5 / e.reverse->bits_per_second());
     } else {
-      s_per_bit += e.fraction / e.candidate.bits_per_second();
+      s += e.fraction / e.candidate.bits_per_second();
     }
   }
+  return s;
+}
+
+double plan_throughput_bps(const OffloadPlan& plan) {
+  const double s_per_bit = plan.seconds_per_bit();
   return s_per_bit > 0.0 ? 1.0 / s_per_bit : 0.0;
 }
 
@@ -185,8 +190,9 @@ std::string OffloadPlan::summary() const {
   return os.str();
 }
 
-OffloadPlan OffloadPlanner::plan(const std::vector<ModeCandidate>& candidates,
-                                 double e1_joules, double e2_joules) {
+OffloadPlan OffloadPlanner::plan(
+    const std::vector<hal::OperatingPoint>& candidates, double e1_joules,
+    double e2_joules) {
   check_inputs(candidates, e1_joules, e2_joules);
   obs::count(obs::Counter::OffloadPlans);
   std::vector<CostPoint> costs;
@@ -200,7 +206,7 @@ OffloadPlan OffloadPlanner::plan(const std::vector<ModeCandidate>& candidates,
 }
 
 OffloadPlan OffloadPlanner::plan_with_min_throughput(
-    const std::vector<ModeCandidate>& candidates, double e1_joules,
+    const std::vector<hal::OperatingPoint>& candidates, double e1_joules,
     double e2_joules, double min_bps) {
   check_inputs(candidates, e1_joules, e2_joules);
   if (!(min_bps > 0.0)) {
@@ -372,9 +378,9 @@ OffloadPlan OffloadPlanner::plan_with_min_throughput(
   return checked_plan(std::move(fastest));
 }
 
-std::vector<ModeCandidate> OffloadPlanner::intersect_candidates(
+std::vector<hal::OperatingPoint> OffloadPlanner::intersect_candidates(
     const hal::Capabilities& tx_caps, const hal::Capabilities& rx_caps) {
-  std::vector<ModeCandidate> out;
+  std::vector<hal::OperatingPoint> out;
   for (const hal::OperatingPoint& tx_point : tx_caps.lattice) {
     const hal::OperatingPoint* rx_point =
         rx_caps.find(tx_point.mode, tx_point.rate);
@@ -392,7 +398,7 @@ std::vector<ModeCandidate> OffloadPlanner::intersect_candidates(
         break;
     }
     if (!ok) continue;
-    ModeCandidate merged = tx_point;
+    hal::OperatingPoint merged = tx_point;
     merged.rx_power_w = rx_point->rx_power_w;
     out.push_back(merged);
   }
@@ -402,7 +408,7 @@ std::vector<ModeCandidate> OffloadPlanner::intersect_candidates(
 OffloadPlan OffloadPlanner::plan_heterogeneous(
     const hal::Capabilities& tx_caps, const hal::Capabilities& rx_caps,
     double e1_joules, double e2_joules) {
-  const std::vector<ModeCandidate> candidates =
+  const std::vector<hal::OperatingPoint> candidates =
       intersect_candidates(tx_caps, rx_caps);
   if (candidates.empty()) {
     throw std::invalid_argument(
@@ -413,7 +419,7 @@ OffloadPlan OffloadPlanner::plan_heterogeneous(
 }
 
 OffloadPlan OffloadPlanner::plan_bidirectional(
-    const std::vector<ModeCandidate>& candidates, double e1_joules,
+    const std::vector<hal::OperatingPoint>& candidates, double e1_joules,
     double e2_joules) {
   check_inputs(candidates, e1_joules, e2_joules);
   obs::count(obs::Counter::OffloadPlans);

@@ -21,16 +21,15 @@
 #include <string>
 #include <vector>
 
-#include "core/power_table.hpp"
 #include "hal/radio.hpp"
 
 namespace braidio::core {
 
 struct PlanEntry {
-  ModeCandidate candidate;  // forward-direction operating point
+  hal::OperatingPoint candidate;  // forward-direction operating point
   /// Bidirectional plans pair each forward operating point with a reverse
   /// one (roles swapped); unset for unidirectional plans.
-  std::optional<ModeCandidate> reverse;
+  std::optional<hal::OperatingPoint> reverse;
   double fraction = 0.0;  // fraction of bits sent in this operating point
 };
 
@@ -55,14 +54,18 @@ struct OffloadPlan {
   /// plans without a throughput constraint).
   bool meets_throughput = true;
 
+  /// Airtime per delivered bit [s]: sum(p_i / rate_i), with bidirectional
+  /// composites averaging their two legs.
+  double seconds_per_bit() const;
+
   /// Bits moved before the first battery empties, from energies in joules.
   double bits_until_depletion(double e1_joules, double e2_joules) const;
 
   std::string summary() const;
 };
 
-/// Delivered throughput of a plan [bits/s]: 1 / sum(p_i / rate_i), with
-/// bidirectional composites averaging their two legs.
+/// Delivered throughput of a plan [bits/s]: 1 / seconds_per_bit(), 0 for
+/// an empty plan.
 double plan_throughput_bps(const OffloadPlan& plan);
 
 class OffloadPlanner {
@@ -70,7 +73,7 @@ class OffloadPlanner {
   /// Plan for data flowing TX(E1) -> RX(E2) over `candidates`.
   /// Throws std::invalid_argument when `candidates` is empty or energies
   /// are not positive.
-  static OffloadPlan plan(const std::vector<ModeCandidate>& candidates,
+  static OffloadPlan plan(const std::vector<hal::OperatingPoint>& candidates,
                           double e1_joules, double e2_joules);
 
   /// The per-direction candidate set two heterogeneous radios can run
@@ -85,7 +88,7 @@ class OffloadPlanner {
   /// rx_power from the receiver's — so a braidio tag talking to a
   /// 640 mW reader pays tag-side reflection power against reader-side
   /// decode power, not one backend's symmetric numbers.
-  static std::vector<ModeCandidate> intersect_candidates(
+  static std::vector<hal::OperatingPoint> intersect_candidates(
       const hal::Capabilities& tx_caps, const hal::Capabilities& rx_caps);
 
   /// plan() over the per-direction intersection of two capability sets.
@@ -101,7 +104,7 @@ class OffloadPlanner {
   /// candidate costs. Returns the plan over composite candidates whose
   /// labels read "fwd:<mode>|rev:<mode>".
   static OffloadPlan plan_bidirectional(
-      const std::vector<ModeCandidate>& candidates, double e1_joules,
+      const std::vector<hal::OperatingPoint>& candidates, double e1_joules,
       double e2_joules);
 
   /// Eq. 1 with a deadline: the minimum-energy power-proportional plan
@@ -113,7 +116,7 @@ class OffloadPlanner {
   /// `min_bps`, returns the fastest proportional plan with
   /// `meets_throughput = false`.
   static OffloadPlan plan_with_min_throughput(
-      const std::vector<ModeCandidate>& candidates, double e1_joules,
+      const std::vector<hal::OperatingPoint>& candidates, double e1_joules,
       double e2_joules, double min_bps);
 };
 

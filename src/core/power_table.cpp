@@ -29,9 +29,9 @@ constexpr double kBackscatterRatio10k = 7800.0;  // tag = 16.5 uW, the paper's
 }  // namespace
 
 PowerTable::PowerTable() {
-  using phy::Bitrate;
-  using phy::LinkMode;
-  for (Bitrate rate : phy::kAllBitrates) {
+  using hal::Bitrate;
+  using hal::LinkMode;
+  for (Bitrate rate : hal::kAllBitrates) {
     entries_.push_back({LinkMode::Active, rate, kActiveTxW, kActiveRxW});
   }
   auto passive_rx = [](double ratio) { return kCarrierSideW / ratio; };
@@ -59,10 +59,10 @@ PowerTable::PowerTable() {
       util::wh_to_joules(8.58e-8), util::wh_to_joules(1.10e-11)};
 }
 
-const ModeCandidate& PowerTable::candidate(phy::LinkMode mode,
-                                           phy::Bitrate rate) const {
+const hal::OperatingPoint& PowerTable::candidate(hal::LinkMode mode,
+                                                 hal::Bitrate rate) const {
   const auto it = std::find_if(
-      entries_.begin(), entries_.end(), [&](const ModeCandidate& c) {
+      entries_.begin(), entries_.end(), [&](const hal::OperatingPoint& c) {
         return c.mode == mode && c.rate == rate;
       });
   if (it == entries_.end()) {
@@ -71,7 +71,8 @@ const ModeCandidate& PowerTable::candidate(phy::LinkMode mode,
   return *it;
 }
 
-const SwitchOverhead& PowerTable::switch_overhead(phy::LinkMode mode) const {
+const hal::SwitchOverhead& PowerTable::switch_overhead(
+    hal::LinkMode mode) const {
   return overheads_[static_cast<int>(mode)];
 }
 

@@ -10,18 +10,10 @@
 
 #include <vector>
 
+#include "hal/link_mode.hpp"
 #include "hal/radio.hpp"
-#include "phy/link_mode.hpp"
 
 namespace braidio::core {
-
-/// One operating point. The struct itself now lives at the HAL boundary
-/// (hal::OperatingPoint) so every backend shares it; these aliases keep the
-/// historical core:: spellings valid.
-using ModeCandidate = hal::OperatingPoint;
-
-/// Per-mode energy cost of switching *into* a mode (Table 5), per end.
-using SwitchOverhead = hal::SwitchOverhead;
 
 class PowerTable {
  public:
@@ -29,21 +21,24 @@ class PowerTable {
   PowerTable();
 
   /// All nine (mode, bitrate) operating points.
-  const std::vector<ModeCandidate>& candidates() const { return entries_; }
+  const std::vector<hal::OperatingPoint>& candidates() const {
+    return entries_;
+  }
 
   /// Lookup one operating point.
-  const ModeCandidate& candidate(phy::LinkMode mode, phy::Bitrate rate) const;
+  const hal::OperatingPoint& candidate(hal::LinkMode mode,
+                                       hal::Bitrate rate) const;
 
   /// Table 5 switching overhead for a mode.
-  const SwitchOverhead& switch_overhead(phy::LinkMode mode) const;
+  const hal::SwitchOverhead& switch_overhead(hal::LinkMode mode) const;
 
   /// Paper headline: min/max power over every mode/end (16 uW - 129 mW).
   double min_power_w() const;
   double max_power_w() const;
 
  private:
-  std::vector<ModeCandidate> entries_;
-  SwitchOverhead overheads_[3];
+  std::vector<hal::OperatingPoint> entries_;
+  hal::SwitchOverhead overheads_[3];
 };
 
 }  // namespace braidio::core

@@ -23,11 +23,11 @@ const std::vector<PrototypeSpec>& prototype_table() {
   return table;
 }
 
-std::vector<ModeCandidate> prototype_candidates(
+std::vector<hal::OperatingPoint> prototype_candidates(
     const PrototypeSpec& proto, const PowerTable& v3_table) {
-  std::vector<ModeCandidate> out;
+  std::vector<hal::OperatingPoint> out;
   for (auto candidate : v3_table.candidates()) {
-    if (candidate.mode == phy::LinkMode::Backscatter) {
+    if (candidate.mode == hal::LinkMode::Backscatter) {
       candidate.rx_power_w = proto.backscatter_rx_power_w;
     }
     out.push_back(candidate);
@@ -39,7 +39,7 @@ std::pair<double, double> prototype_ratio_span(
     const PrototypeSpec& proto, const PowerTable& v3_table) {
   double lo = 1e300, hi = -1e300;
   for (const auto& c : prototype_candidates(proto, v3_table)) {
-    if (c.rate != phy::Bitrate::M1) continue;  // full-rate triangle
+    if (c.rate != hal::Bitrate::M1) continue;  // full-rate triangle
     const double ratio = c.tx_joules_per_bit() / c.rx_joules_per_bit();
     lo = std::min(lo, ratio);
     hi = std::max(hi, ratio);

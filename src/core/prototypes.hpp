@@ -37,7 +37,7 @@ const std::vector<PrototypeSpec>& prototype_table();
 
 /// The mode power table a given prototype would induce: identical to the
 /// calibrated v3 table except for the carrier-holder's receive-side power.
-std::vector<ModeCandidate> prototype_candidates(
+std::vector<hal::OperatingPoint> prototype_candidates(
     const PrototypeSpec& proto, const PowerTable& v3_table);
 
 /// Best achievable TX:RX drain-ratio span (min, max) with that prototype's

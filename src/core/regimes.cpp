@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "core/braidio_radio.hpp"
-
 namespace braidio::core {
 
 const char* to_string(Regime regime) {
@@ -16,29 +14,19 @@ const char* to_string(Regime regime) {
   return "?";
 }
 
-RegimeMap::RegimeMap(const PowerTable& table, const phy::LinkBudget& budget)
-    : lattice_(table.candidates()),
-      sleep_power_(BraidioRadio::kIdleFloor),
-      channel_(&budget),
-      table_(&table),
-      budget_(&budget) {
-  for (phy::LinkMode mode : phy::kAllLinkModes) {
-    overheads_[static_cast<int>(mode)] = table.switch_overhead(mode);
-  }
-}
-
 RegimeMap::RegimeMap(const hal::RadioBackend& backend)
     : lattice_(backend.caps().lattice),
       sleep_power_(backend.caps().sleep_power),
       channel_(&backend.channel()) {
-  for (phy::LinkMode mode : phy::kAllLinkModes) {
+  for (hal::LinkMode mode : hal::kAllLinkModes) {
     overheads_[static_cast<int>(mode)] =
         backend.caps().switch_overhead[static_cast<int>(mode)];
   }
 }
 
-std::vector<ModeCandidate> RegimeMap::available(double distance_m) const {
-  std::vector<ModeCandidate> out;
+std::vector<hal::OperatingPoint> RegimeMap::available(
+    double distance_m) const {
+  std::vector<hal::OperatingPoint> out;
   for (const auto& candidate : lattice_) {
     if (channel_->available(candidate.mode, candidate.rate, distance_m)) {
       out.push_back(candidate);
@@ -47,10 +35,10 @@ std::vector<ModeCandidate> RegimeMap::available(double distance_m) const {
   return out;
 }
 
-std::vector<ModeCandidate> RegimeMap::available_best_rate(
+std::vector<hal::OperatingPoint> RegimeMap::available_best_rate(
     double distance_m) const {
-  std::vector<ModeCandidate> out;
-  for (phy::LinkMode mode : phy::kAllLinkModes) {
+  std::vector<hal::OperatingPoint> out;
+  for (hal::LinkMode mode : hal::kAllLinkModes) {
     if (const auto rate = best_rate(mode, distance_m)) {
       out.push_back(candidate(mode, *rate));
     }
@@ -59,96 +47,76 @@ std::vector<ModeCandidate> RegimeMap::available_best_rate(
 }
 
 Regime RegimeMap::regime(double distance_m) const {
-  if (best_rate(phy::LinkMode::Backscatter, distance_m)) {
+  if (best_rate(hal::LinkMode::Backscatter, distance_m)) {
     return Regime::A;
   }
-  if (best_rate(phy::LinkMode::PassiveRx, distance_m)) {
+  if (best_rate(hal::LinkMode::PassiveRx, distance_m)) {
     return Regime::B;
   }
   return Regime::C;
 }
 
-double RegimeMap::regime_a_limit_m() const {
+double RegimeMap::range_limit_m(hal::LinkMode mode) const {
   double limit = 0.0;
   for (const auto& c : lattice_) {
-    if (c.mode != phy::LinkMode::Backscatter) continue;
+    if (c.mode != mode) continue;
     limit = std::max(limit, channel_->range_m(c.mode, c.rate));
   }
   return limit;
+}
+
+double RegimeMap::regime_a_limit_m() const {
+  return range_limit_m(hal::LinkMode::Backscatter);
 }
 
 double RegimeMap::regime_b_limit_m() const {
-  double limit = 0.0;
-  for (const auto& c : lattice_) {
-    if (c.mode != phy::LinkMode::PassiveRx) continue;
-    limit = std::max(limit, channel_->range_m(c.mode, c.rate));
-  }
-  return limit;
+  return range_limit_m(hal::LinkMode::PassiveRx);
 }
 
-const ModeCandidate& RegimeMap::candidate(phy::LinkMode mode,
-                                          phy::Bitrate rate) const {
+const hal::OperatingPoint* RegimeMap::find(hal::LinkMode mode,
+                                           hal::Bitrate rate) const {
   const auto it = std::find_if(
-      lattice_.begin(), lattice_.end(), [&](const ModeCandidate& c) {
+      lattice_.begin(), lattice_.end(), [&](const hal::OperatingPoint& c) {
         return c.mode == mode && c.rate == rate;
       });
-  if (it == lattice_.end()) {
-    throw std::out_of_range("RegimeMap: unsupported mode/rate");
-  }
-  return *it;
+  return it == lattice_.end() ? nullptr : &*it;
 }
 
-bool RegimeMap::supports(phy::LinkMode mode) const {
-  return std::any_of(lattice_.begin(), lattice_.end(),
-                     [&](const ModeCandidate& c) { return c.mode == mode; });
+const hal::OperatingPoint& RegimeMap::candidate(hal::LinkMode mode,
+                                                hal::Bitrate rate) const {
+  const hal::OperatingPoint* point = find(mode, rate);
+  if (!point) throw std::out_of_range("RegimeMap: unsupported mode/rate");
+  return *point;
 }
 
-std::optional<phy::Bitrate> RegimeMap::best_rate(phy::LinkMode mode,
+bool RegimeMap::supports(hal::LinkMode mode) const {
+  return std::any_of(
+      lattice_.begin(), lattice_.end(),
+      [&](const hal::OperatingPoint& c) { return c.mode == mode; });
+}
+
+std::optional<hal::Bitrate> RegimeMap::best_rate(hal::LinkMode mode,
                                                  double distance_m) const {
-  using phy::Bitrate;
+  using hal::Bitrate;
   for (Bitrate rate : {Bitrate::M1, Bitrate::k100, Bitrate::k10}) {
-    if (!std::any_of(lattice_.begin(), lattice_.end(),
-                     [&](const ModeCandidate& c) {
-                       return c.mode == mode && c.rate == rate;
-                     })) {
-      continue;
-    }
-    if (channel_->available(mode, rate, distance_m)) return rate;
-  }
-  return std::nullopt;
-}
-
-std::optional<phy::Bitrate> RegimeMap::lowest_rate(phy::LinkMode mode) const {
-  using phy::Bitrate;
-  for (Bitrate rate : {Bitrate::k10, Bitrate::k100, Bitrate::M1}) {
-    if (std::any_of(lattice_.begin(), lattice_.end(),
-                    [&](const ModeCandidate& c) {
-                      return c.mode == mode && c.rate == rate;
-                    })) {
+    if (find(mode, rate) && channel_->available(mode, rate, distance_m)) {
       return rate;
     }
   }
   return std::nullopt;
 }
 
-const SwitchOverhead& RegimeMap::switch_overhead(phy::LinkMode mode) const {
+std::optional<hal::Bitrate> RegimeMap::lowest_rate(hal::LinkMode mode) const {
+  using hal::Bitrate;
+  for (Bitrate rate : {Bitrate::k10, Bitrate::k100, Bitrate::M1}) {
+    if (find(mode, rate)) return rate;
+  }
+  return std::nullopt;
+}
+
+const hal::SwitchOverhead& RegimeMap::switch_overhead(
+    hal::LinkMode mode) const {
   return overheads_[static_cast<int>(mode)];
-}
-
-const phy::LinkBudget& RegimeMap::budget() const {
-  if (!budget_) {
-    throw std::logic_error(
-        "RegimeMap::budget: not built from a PowerTable/LinkBudget pair");
-  }
-  return *budget_;
-}
-
-const PowerTable& RegimeMap::table() const {
-  if (!table_) {
-    throw std::logic_error(
-        "RegimeMap::table: not built from a PowerTable/LinkBudget pair");
-  }
-  return *table_;
 }
 
 }  // namespace braidio::core

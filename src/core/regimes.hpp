@@ -7,17 +7,13 @@
 //   Regime C: only active -> no offload, Braidio behaves like Bluetooth.
 //
 // RegimeMap is the MAC side's view of a radio backend: the capability
-// lattice crossed with the channel model. It is built either from a
-// hal::RadioBackend (any driver) or, for legacy braidio-only call sites,
-// directly from the PowerTable + LinkBudget pair.
+// lattice crossed with the channel model.
 #pragma once
 
 #include <optional>
 #include <vector>
 
-#include "core/power_table.hpp"
 #include "hal/backend.hpp"
-#include "phy/link_budget.hpp"
 #include "util/units.hpp"
 
 namespace braidio::core {
@@ -28,19 +24,17 @@ const char* to_string(Regime regime);
 
 class RegimeMap {
  public:
-  /// Legacy braidio-only form. Keeps table()/budget() accessors valid.
-  RegimeMap(const PowerTable& table, const phy::LinkBudget& budget);
-
-  /// Backend form: lattice/overheads copied from the declared capability
-  /// set, channel borrowed from the backend (which must outlive this map).
+  /// Lattice/overheads copied from the declared capability set, channel
+  /// borrowed from the backend (which must outlive this map).
   explicit RegimeMap(const hal::RadioBackend& backend);
 
   /// All (mode, bitrate) candidates whose BER clears the threshold at d.
-  std::vector<ModeCandidate> available(double distance_m) const;
+  std::vector<hal::OperatingPoint> available(double distance_m) const;
 
   /// Candidates restricted to each mode's best sustainable bitrate at d
   /// (what the probing step of Sec. 4.2 reports).
-  std::vector<ModeCandidate> available_best_rate(double distance_m) const;
+  std::vector<hal::OperatingPoint> available_best_rate(
+      double distance_m) const;
 
   Regime regime(double distance_m) const;
 
@@ -50,22 +44,23 @@ class RegimeMap {
   double regime_b_limit_m() const;
 
   /// The capability lattice this map plans over.
-  const std::vector<ModeCandidate>& lattice() const { return lattice_; }
+  const std::vector<hal::OperatingPoint>& lattice() const { return lattice_; }
 
   /// Lattice lookup; throws std::out_of_range when unsupported.
-  const ModeCandidate& candidate(phy::LinkMode mode, phy::Bitrate rate) const;
+  const hal::OperatingPoint& candidate(hal::LinkMode mode,
+                                       hal::Bitrate rate) const;
 
   /// True when the lattice has any point in `mode`.
-  bool supports(phy::LinkMode mode) const;
+  bool supports(hal::LinkMode mode) const;
 
   /// Best / lowest lattice bitrate for a mode at distance d (best also
   /// requires channel availability); nullopt when none qualifies.
-  std::optional<phy::Bitrate> best_rate(phy::LinkMode mode,
+  std::optional<hal::Bitrate> best_rate(hal::LinkMode mode,
                                         double distance_m) const;
-  std::optional<phy::Bitrate> lowest_rate(phy::LinkMode mode) const;
+  std::optional<hal::Bitrate> lowest_rate(hal::LinkMode mode) const;
 
   /// Switch-in overhead for a mode, from the declared capability set.
-  const SwitchOverhead& switch_overhead(phy::LinkMode mode) const;
+  const hal::SwitchOverhead& switch_overhead(hal::LinkMode mode) const;
 
   /// Sleep-state floor draw of the backing hardware.
   util::Watts sleep_power() const { return sleep_power_; }
@@ -73,18 +68,17 @@ class RegimeMap {
   /// The channel physics behind this map.
   const hal::ChannelModel& channel() const { return *channel_; }
 
-  /// Legacy accessors for braidio-only call sites; require the legacy ctor.
-  const phy::LinkBudget& budget() const;
-  const PowerTable& table() const;
-
  private:
-  std::vector<ModeCandidate> lattice_;
-  SwitchOverhead overheads_[3];
-  util::Watts sleep_power_{2e-6};
-  const hal::ChannelModel* channel_ = nullptr;
-  // Non-null only when constructed the legacy way.
-  const PowerTable* table_ = nullptr;
-  const phy::LinkBudget* budget_ = nullptr;
+  /// Lattice lookup; nullptr when the lattice lacks (mode, rate).
+  const hal::OperatingPoint* find(hal::LinkMode mode,
+                                  hal::Bitrate rate) const;
+  /// Largest operating range over the lattice's points in `mode`.
+  double range_limit_m(hal::LinkMode mode) const;
+
+  std::vector<hal::OperatingPoint> lattice_;
+  hal::SwitchOverhead overheads_[3];
+  util::Watts sleep_power_;
+  const hal::ChannelModel* channel_;
 };
 
 }  // namespace braidio::core

@@ -1,12 +1,13 @@
 // Propagation/demodulation interface at the HAL boundary.
 //
-// The MAC's packet channel and the planners need exactly four questions
+// The MAC's packet channel and the planners need exactly five questions
 // answered about a link: what SNR does (mode, bitrate) see at distance d,
-// what BER does this driver's demodulator produce at a given SNR, does the
-// operating point clear the driver's BER threshold, and how far does it
-// reach. Drivers answer with their own physics — the calibrated Braidio
-// link budget, a BLE Friis path, an AS3993 radar-equation round trip —
-// while MAC code stays ignorant of which driver it is talking to.
+// what BER does this driver's demodulator produce at a given SNR, what
+// BER threshold does the driver hold links to, does the operating point
+// clear it, and how far does it reach. Drivers answer with their own
+// physics — the calibrated Braidio link budget, a BLE Friis path, an AS3993
+// radar-equation round trip — while MAC code stays ignorant of which driver
+// it is talking to.
 //
 // Concurrency contract: implementations must be const-thread-safe (all
 // methods const over immutable state) so one model can be shared by
@@ -42,6 +43,9 @@ class ChannelModel {
 
   /// Operating range [m]: distance where BER hits the driver's threshold.
   virtual double range_m(LinkMode mode, Bitrate rate) const = 0;
+
+  /// The driver's BER threshold: the largest BER `available` accepts.
+  virtual double ber_threshold() const = 0;
 
   /// Analytic BER at distance d (composition of the two primitives).
   double ber(LinkMode mode, Bitrate rate, double distance_m) const {

@@ -1,10 +1,9 @@
 // Link-layer vocabulary shared by the radio HAL and every driver.
 //
 // The three Braidio link modes (named, as in the paper, by who holds the
-// carrier / what the receiver does) and the supported bitrates. These used
-// to live in phy/; they moved below the HAL boundary so that MAC code can
-// name a mode without including any driver (phy/core) header —
-// `phy/link_mode.hpp` re-exports them for existing driver-side code.
+// carrier / what the receiver does) and the supported bitrates. They live
+// below the HAL boundary so that MAC code can name a mode without
+// including any driver (phy/core) header; every layer spells them hal::.
 #pragma once
 
 #include <array>

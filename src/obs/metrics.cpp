@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <mutex>
+#include <stdexcept>
 
 #include "util/contract.hpp"
 #include "util/json.hpp"
@@ -174,7 +175,27 @@ const HistogramData& MetricsRegistry::histogram(
   return builtin_histograms_[static_cast<std::size_t>(histogram)];
 }
 
+namespace {
+
+// A named metric that shares a builtin's name would export a duplicate
+// JSON key, and a parser keeps only one of the two values.
+template <typename Builtin, std::size_t kCount>
+void reject_builtin_name(const std::string& name, const char* kind) {
+  for (std::size_t i = 0; i < kCount; ++i) {
+    if (name == to_string(static_cast<Builtin>(i))) {
+      throw std::invalid_argument("MetricsRegistry: \"" + name +
+                                  "\" is the builtin " + kind +
+                                  " of that name");
+    }
+  }
+}
+
+}  // namespace
+
 std::uint64_t& MetricsRegistry::counter(const std::string& name) {
+  const auto it = named_counters_.find(name);
+  if (it != named_counters_.end()) return it->second;
+  reject_builtin_name<Counter, kCounterCount>(name, "counter");
   return named_counters_[name];
 }
 
@@ -186,6 +207,7 @@ HistogramData& MetricsRegistry::histogram(
     const std::string& name, std::vector<double> upper_bounds) {
   auto it = named_histograms_.find(name);
   if (it == named_histograms_.end()) {
+    reject_builtin_name<Histogram, kHistogramCount>(name, "histogram");
     it = named_histograms_
              .emplace(name, HistogramData(std::move(upper_bounds)))
              .first;

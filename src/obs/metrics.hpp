@@ -37,7 +37,7 @@ namespace braidio::obs {
 
 /// Built-in counters posted by the instrumented layers.
 enum class Counter : std::uint8_t {
-  ModeSwitches,    // BraidioRadio actually changed (mode, role)
+  ModeSwitches,    // a radio actually changed (mode, role)
   OffloadPlans,    // OffloadPlanner solved Eq. 1
   Replans,         // a running session recomputed its plan
   Fallbacks,       // braided link fell back to the active mode
@@ -130,6 +130,9 @@ class MetricsRegistry {
 
   // --- named metrics ------------------------------------------------
   /// Create-or-get; returned references stay valid until clear().
+  /// counter() and histogram() throw std::invalid_argument when `name`
+  /// is a builtin counter's / histogram's to_string (the JSON export
+  /// would carry that key twice).
   std::uint64_t& counter(const std::string& name);
   double& gauge(const std::string& name);
   HistogramData& histogram(const std::string& name,

@@ -24,10 +24,15 @@ IqChain::IqChain(IqChainConfig config) : config_(config) {
 std::vector<std::complex<double>> IqChain::modulate(
     const std::vector<std::uint8_t>& bits) const {
   const unsigned n = config_.samples_per_symbol;
+  const bool bpsk = config_.modulation == IqChainConfig::Modulation::Bpsk;
   std::vector<std::complex<double>> out;
-  out.reserve(bits.size() * n);
+  out.reserve((bits.size() + (bpsk ? kPilotSymbols : 0)) * n);
+  if (bpsk) {
+    // Pilot prefix: all-ones symbols the receiver estimates phase from.
+    out.assign(kPilotSymbols * n, {1.0, 0.0});
+  }
   for (auto bit : bits) {
-    if (config_.modulation == IqChainConfig::Modulation::Bpsk) {
+    if (bpsk) {
       const double s = bit ? 1.0 : -1.0;
       for (unsigned k = 0; k < n; ++k) out.emplace_back(s, 0.0);
     } else {
@@ -66,7 +71,7 @@ std::vector<std::uint8_t> IqChain::demodulate(
     const double theta = std::arg(pilot);
     if (estimated_phase_rad) *estimated_phase_rad = theta;
     const std::complex<double> derotate = std::polar(1.0, -theta);
-    for (std::size_t s = 0; s < symbols; ++s) {
+    for (std::size_t s = pilots; s < symbols; ++s) {
       bits.push_back((y[s] * derotate).real() > 0.0 ? 1 : 0);
     }
   } else {
@@ -96,10 +101,7 @@ IqChainResult IqChain::simulate(double snr_per_bit, std::size_t bits,
 
   const bool bpsk = config_.modulation == IqChainConfig::Modulation::Bpsk;
   std::vector<std::uint8_t> tx;
-  tx.reserve(bits + kPilotSymbols);
-  if (bpsk) {
-    tx.assign(kPilotSymbols, 1);  // pilot prefix
-  }
+  tx.reserve(bits);
   for (std::size_t i = 0; i < bits; ++i) {
     tx.push_back(rng.bernoulli(0.5) ? 1 : 0);
   }
@@ -120,10 +122,9 @@ IqChainResult IqChain::simulate(double snr_per_bit, std::size_t bits,
 
   IqChainResult result;
   const auto rx = demodulate(wave, &result.estimated_phase_rad);
-  const std::size_t skip = bpsk ? kPilotSymbols : 0;
   result.bits = bits;
-  for (std::size_t i = 0; i < bits && skip + i < rx.size(); ++i) {
-    if ((rx[skip + i] != 0) != (tx[skip + i] != 0)) ++result.errors;
+  for (std::size_t i = 0; i < bits && i < rx.size(); ++i) {
+    if ((rx[i] != 0) != (tx[i] != 0)) ++result.errors;
   }
   result.measured_ber =
       static_cast<double>(result.errors) / static_cast<double>(bits);

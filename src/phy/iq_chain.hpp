@@ -50,12 +50,14 @@ class IqChain {
   explicit IqChain(IqChainConfig config = {});
 
   /// Modulate bits to complex baseband samples (unit symbol energy per
-  /// sample before scaling).
+  /// sample before scaling). BPSK output starts with a 32-symbol all-ones
+  /// pilot prefix for the receiver's phase estimate.
   std::vector<std::complex<double>> modulate(
       const std::vector<std::uint8_t>& bits) const;
 
-  /// Demodulate received samples: matched filtering per symbol, blind
-  /// phase estimation for BPSK (squaring estimator), energy comparison
+  /// Demodulate received samples: matched filtering per symbol, then for
+  /// BPSK a pilot-aided phase estimate over the prefix modulate() adds
+  /// (the pilot is stripped from the returned bits); energy comparison
   /// for BFSK.
   std::vector<std::uint8_t> demodulate(
       const std::vector<std::complex<double>>& samples,

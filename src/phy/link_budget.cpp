@@ -9,6 +9,11 @@
 
 namespace braidio::phy {
 
+using hal::Bitrate;
+using hal::LinkMode;
+using hal::kAllBitrates;
+using hal::kAllLinkModes;
+
 LinkBudget::LinkBudget(LinkBudgetConfig config) : config_(config) {
   if (!(config_.ber_threshold > 0.0) || !(config_.ber_threshold < 0.5)) {
     throw std::invalid_argument("LinkBudget: ber_threshold out of (0, 0.5)");

@@ -24,7 +24,7 @@
 
 #include "hal/channel_model.hpp"
 #include "phy/ber.hpp"
-#include "phy/link_mode.hpp"
+#include "hal/link_mode.hpp"
 
 namespace braidio::phy {
 
@@ -65,41 +65,43 @@ class LinkBudget : public hal::ChannelModel {
   explicit LinkBudget(LinkBudgetConfig config = {});
 
   /// Demodulator statistics used for a mode.
-  static BerModel ber_model(LinkMode mode);
+  static BerModel ber_model(hal::LinkMode mode);
 
   /// Received signal power [dBm] at the detector for a separation `d`.
-  double received_power_dbm(LinkMode mode, double distance_m) const;
+  double received_power_dbm(hal::LinkMode mode, double distance_m) const;
 
   /// Calibrated effective noise floor [dBm] for (mode, bitrate).
-  double noise_floor_dbm(LinkMode mode, Bitrate rate) const;
+  double noise_floor_dbm(hal::LinkMode mode, hal::Bitrate rate) const;
 
   /// Per-bit SNR (linear / dB) at distance d.
-  double snr(LinkMode mode, Bitrate rate, double distance_m) const;
-  double snr_db(LinkMode mode, Bitrate rate,
+  double snr(hal::LinkMode mode, hal::Bitrate rate, double distance_m) const;
+  double snr_db(hal::LinkMode mode, hal::Bitrate rate,
                 double distance_m) const override;
 
   /// BER the mode's demodulator produces at a given per-bit SNR [dB].
-  double ber_from_snr_db(LinkMode mode, double snr_db) const override;
+  double ber_from_snr_db(hal::LinkMode mode, double snr_db) const override;
 
   /// Analytic bit error rate at distance d.
-  double ber(LinkMode mode, Bitrate rate, double distance_m) const;
+  double ber(hal::LinkMode mode, hal::Bitrate rate, double distance_m) const;
 
   /// Operating range [m]: distance where BER hits the configured threshold.
-  double range_m(LinkMode mode, Bitrate rate) const override;
+  double range_m(hal::LinkMode mode, hal::Bitrate rate) const override;
 
   /// True when (mode, bitrate) meets the BER threshold at distance d.
-  bool available(LinkMode mode, Bitrate rate,
+  bool available(hal::LinkMode mode, hal::Bitrate rate,
                  double distance_m) const override;
 
   /// Highest bitrate meeting the BER threshold at d, if any.
-  std::optional<Bitrate> best_bitrate(LinkMode mode,
-                                      double distance_m) const override;
+  std::optional<hal::Bitrate> best_bitrate(hal::LinkMode mode,
+                                           double distance_m) const override;
+
+  double ber_threshold() const override { return config_.ber_threshold; }
 
   const LinkBudgetConfig& config() const { return config_; }
 
  private:
-  static std::size_t index(LinkMode mode, Bitrate rate);
-  double anchor_range(LinkMode mode, Bitrate rate) const;
+  static std::size_t index(hal::LinkMode mode, hal::Bitrate rate);
+  double anchor_range(hal::LinkMode mode, hal::Bitrate rate) const;
 
   LinkBudgetConfig config_;
   double floors_dbm_[9] = {};  // calibrated per (mode, bitrate)

@@ -70,7 +70,7 @@ std::vector<double> received_envelope(const Symbols& sym,
   const double a = std::sqrt(2.0 * snr);  // sigma = 1 per dimension
   std::vector<double> env;
   env.reserve(sym.line_bits.size() * sym.samples_per_line_bit);
-  const bool backscatter = config.mode == LinkMode::Backscatter;
+  const bool backscatter = config.mode == hal::LinkMode::Backscatter;
   const double b = backscatter ? config.background_to_signal * a : 0.0;
   const double theta = config.cancellation_angle_rad;
   for (auto bit : sym.line_bits) {
@@ -105,7 +105,7 @@ std::vector<std::uint8_t> score_bits(const std::vector<std::uint8_t>& line,
 }
 
 double analytic_ber_for(const WaveformSimConfig& config, double snr) {
-  if (config.mode == LinkMode::Backscatter) {
+  if (config.mode == hal::LinkMode::Backscatter) {
     const double c = std::cos(config.cancellation_angle_rad);
     return bit_error_rate(BerModel::CoherentBpsk, snr * c * c);
   }
@@ -125,7 +125,7 @@ WaveformSimResult simulate_waveform(const LinkBudget& budget,
   WaveformSimResult result;
   result.analytic_ber = analytic_ber_for(config, snr);
 
-  if (config.mode == LinkMode::Active) {
+  if (config.mode == hal::LinkMode::Active) {
     // Coherent FSK decision statistic: y = +/-sqrt(snr) + N(0,1).
     const auto bits = random_bits(config.bits, config.seed);
     std::size_t errors = 0;
@@ -180,7 +180,7 @@ WaveformSimResult simulate_waveform(const LinkBudget& budget,
   } else {
     // Ideal path: midpoint threshold between the two envelope levels.
     const double threshold =
-        config.mode == LinkMode::Backscatter
+        config.mode == hal::LinkMode::Backscatter
             ? config.background_to_signal * a  // background magnitude
             : a / 2.0;
     line_decisions = ook_demodulate_midpoint(

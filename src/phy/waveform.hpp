@@ -16,13 +16,13 @@
 #include <cstdint>
 
 #include "phy/link_budget.hpp"
-#include "phy/link_mode.hpp"
+#include "hal/link_mode.hpp"
 
 namespace braidio::phy {
 
 struct WaveformSimConfig {
-  LinkMode mode = LinkMode::Backscatter;
-  Bitrate rate = Bitrate::k100;
+  hal::LinkMode mode = hal::LinkMode::Backscatter;
+  hal::Bitrate rate = hal::Bitrate::k100;
   double distance_m = 0.5;
   std::size_t bits = 20'000;
   unsigned samples_per_bit = 8;

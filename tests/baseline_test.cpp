@@ -122,7 +122,7 @@ TEST(ReaderModel, StrongerCarrierAndAntennaThanBraidio) {
   CommercialReaderModel reader;
   phy::LinkBudget braidio;
   EXPECT_GT(reader.received_power_dbm(1.5),
-            braidio.received_power_dbm(phy::LinkMode::Backscatter, 1.5));
+            braidio.received_power_dbm(hal::LinkMode::Backscatter, 1.5));
 }
 
 TEST(ReaderModel, ConfigValidation) {
@@ -172,13 +172,13 @@ TEST(ReaderModel, SharesLinkBudgetPhysicsWithBraidio) {
   for (double d : {0.5, 1.5, 3.0, 4.0}) {
     EXPECT_DOUBLE_EQ(
         reader.received_power_dbm(d),
-        budget.received_power_dbm(phy::LinkMode::Backscatter, d));
-    EXPECT_DOUBLE_EQ(reader.ber(d), budget.ber(phy::LinkMode::Backscatter,
-                                               phy::Bitrate::k100, d));
+        budget.received_power_dbm(hal::LinkMode::Backscatter, d));
+    EXPECT_DOUBLE_EQ(reader.ber(d), budget.ber(hal::LinkMode::Backscatter,
+                                               hal::Bitrate::k100, d));
   }
   EXPECT_DOUBLE_EQ(
       reader.range_m(),
-      budget.range_m(phy::LinkMode::Backscatter, phy::Bitrate::k100));
+      budget.range_m(hal::LinkMode::Backscatter, hal::Bitrate::k100));
 }
 
 }  // namespace

@@ -1,11 +1,12 @@
 #include "core/braided_link.hpp"
-#include "core/braidio_radio.hpp"
+#include "hal/radio.hpp"
 #include "util/units.hpp"
 
 #include <gtest/gtest.h>
 
 #include <utility>
 
+#include "backends/backends.hpp"
 #include "sim/faults/fault_timeline.hpp"
 #include "sim/faults/impairment.hpp"
 
@@ -13,11 +14,10 @@ namespace braidio::core {
 namespace {
 
 struct Rig {
-  PowerTable table;
-  phy::LinkBudget budget;
-  RegimeMap regimes{table, budget};
-  BraidioRadio a{"phone", 1, util::WattHours(6.55), table};
-  BraidioRadio b{"watch", 2, util::WattHours(0.78), table};
+  const hal::RadioBackend& backend = backends::braidio_backend();
+  RegimeMap regimes{backend};
+  hal::StandardRadio a{"phone", 1, util::WattHours(6.55), backend.caps()};
+  hal::StandardRadio b{"watch", 2, util::WattHours(0.78), backend.caps()};
 };
 
 TEST(BraidedLink, DeliversAllPacketsOnCleanLink) {
@@ -97,16 +97,16 @@ TEST(BraidedLink, FallsBackToActiveUnderInjectedLoss) {
 }
 
 TEST(BraidedLink, TinyBatteryDiesMidRunAndStopsCleanly) {
-  PowerTable table;
-  phy::LinkBudget budget;
-  RegimeMap regimes(table, budget);
-  BraidioRadio big("phone", 1, util::WattHours(6.55), table);
-  BraidioRadio tiny("coin", 2, util::WattHours(2e-6), table);  // 7.2 mJ
+  const hal::RadioBackend& backend = backends::braidio_backend();
+  RegimeMap regimes(backend);
+  const auto big = backend.create_radio("phone", 1, util::WattHours(6.55));
+  const auto tiny =
+      backend.create_radio("coin", 2, util::WattHours(2e-6));  // 7.2 mJ
   BraidedLinkConfig cfg;
   cfg.distance_m = 0.4;
-  BraidedLink link(big, tiny, regimes, cfg);
+  BraidedLink link(*big, *tiny, regimes, cfg);
   const auto stats = link.run(1u << 30);  // far more than the battery allows
-  EXPECT_TRUE(tiny.battery().empty());
+  EXPECT_TRUE(tiny->battery().empty());
   EXPECT_LT(stats.data_packets_offered, 1u << 30);
 }
 
@@ -228,10 +228,10 @@ TEST(BraidedLink, BidirectionalSmallDeviceMostlyAvoidsTheCarrier) {
     // Forward = phone -> watch: the watch holds the carrier only in
     // backscatter-forward; reverse = watch -> phone: only in
     // passive-reverse.
-    if (e.candidate.mode == phy::LinkMode::Backscatter) {
+    if (e.candidate.mode == hal::LinkMode::Backscatter) {
       watch_carrier_fraction += 0.5 * e.fraction;
     }
-    if (e.reverse && e.reverse->mode == phy::LinkMode::PassiveRx) {
+    if (e.reverse && e.reverse->mode == hal::LinkMode::PassiveRx) {
       watch_carrier_fraction += 0.5 * e.fraction;
     }
   }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "backends/backends.hpp"
 #include "core/offload.hpp"
 
 namespace braidio::core {
@@ -9,18 +10,16 @@ namespace {
 
 class CodedTest : public ::testing::Test {
  protected:
-  PowerTable table_;
-  phy::LinkBudget budget_;
-  RegimeMap map_{table_, budget_};
+  RegimeMap map_{backends::braidio_backend()};
 };
 
 TEST_F(CodedTest, CodedRangeExceedsUncoded) {
-  for (phy::LinkMode mode :
-       {phy::LinkMode::Backscatter, phy::LinkMode::PassiveRx}) {
-    for (phy::Bitrate rate : phy::kAllBitrates) {
-      EXPECT_GT(coded_range_m(budget_, mode, rate),
-                budget_.range_m(mode, rate))
-          << phy::to_string(mode) << "@" << phy::to_string(rate);
+  for (hal::LinkMode mode :
+       {hal::LinkMode::Backscatter, hal::LinkMode::PassiveRx}) {
+    for (hal::Bitrate rate : hal::kAllBitrates) {
+      EXPECT_GT(coded_range_m(map_.channel(), mode, rate),
+                map_.channel().range_m(mode, rate))
+          << hal::to_string(mode) << "@" << hal::to_string(rate);
     }
   }
 }
@@ -49,11 +48,10 @@ TEST_F(CodedTest, CodedBackscatterAppearsInTheGap) {
   const auto candidates = candidates_with_coding(map_, 2.55);
   bool saw_coded_backscatter = false;
   for (const auto& c : candidates) {
-    if (c.coded && c.candidate.mode == phy::LinkMode::Backscatter) {
+    if (c.coded && c.candidate.mode == hal::LinkMode::Backscatter) {
       saw_coded_backscatter = true;
       // Per-bit cost inflated by 7/4 over the uncoded table entry.
-      const auto& raw =
-          table_.candidate(c.candidate.mode, c.candidate.rate);
+      const auto& raw = map_.candidate(c.candidate.mode, c.candidate.rate);
       EXPECT_NEAR(c.candidate.tx_joules_per_bit() /
                       raw.tx_joules_per_bit(),
                   7.0 / 4.0, 1e-9);
@@ -66,7 +64,7 @@ TEST_F(CodedTest, CodedCandidatesExtendOffloadInTheGap) {
   // At 2.55 m, an energy-poor transmitter can still shed its carrier via
   // coded backscatter; without coding the planner would clamp.
   const auto coded = candidates_with_coding(map_, 2.55);
-  std::vector<ModeCandidate> pool;
+  std::vector<hal::OperatingPoint> pool;
   for (const auto& c : coded) pool.push_back(c.candidate);
   const auto plan = OffloadPlanner::plan(pool, 1.0, 500.0);
   EXPECT_TRUE(plan.proportional);
@@ -80,13 +78,27 @@ TEST_F(CodedTest, CodedCandidatesExtendOffloadInTheGap) {
   EXPECT_LT(plan.tx_joules_per_bit, 0.5 * uncoded_plan.tx_joules_per_bit);
 }
 
+TEST_F(CodedTest, CodedVariantsStayOnTheBackendLattice) {
+  // ble-active declares only active@1M. Its channel would pass coded
+  // backscatter@10k at 2.55 m, but no such point is on the lattice.
+  const RegimeMap ble(backends::ble_active_backend());
+  ASSERT_TRUE(coded_available(ble.channel(), hal::LinkMode::Backscatter,
+                              hal::Bitrate::k10, 2.55));
+  const auto candidates = candidates_with_coding(ble, 2.55);
+  ASSERT_EQ(candidates.size(), 1u);
+  EXPECT_EQ(candidates[0].candidate.mode, hal::LinkMode::Active);
+  EXPECT_FALSE(candidates[0].coded);
+  EXPECT_DOUBLE_EQ(coded_regime_a_limit_m(ble), 0.0);
+}
+
 TEST_F(CodedTest, AvailabilityMatchesRangeBisect) {
   const double r =
-      coded_range_m(budget_, phy::LinkMode::Backscatter, phy::Bitrate::k10);
-  EXPECT_TRUE(coded_available(budget_, phy::LinkMode::Backscatter,
-                              phy::Bitrate::k10, r * 0.98));
-  EXPECT_FALSE(coded_available(budget_, phy::LinkMode::Backscatter,
-                               phy::Bitrate::k10, r * 1.02));
+      coded_range_m(map_.channel(), hal::LinkMode::Backscatter,
+                    hal::Bitrate::k10);
+  EXPECT_TRUE(coded_available(map_.channel(), hal::LinkMode::Backscatter,
+                              hal::Bitrate::k10, r * 0.98));
+  EXPECT_FALSE(coded_available(map_.channel(), hal::LinkMode::Backscatter,
+                               hal::Bitrate::k10, r * 1.02));
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Deadline-aware carrier offload: Eq. 1 + a minimum-throughput constraint.
 #include <gtest/gtest.h>
 
+#include "backends/backends.hpp"
 #include "core/offload.hpp"
 #include "core/regimes.hpp"
 
@@ -9,12 +10,10 @@ namespace {
 
 class DeadlineTest : public ::testing::Test {
  protected:
-  std::vector<ModeCandidate> at(double d) {
+  std::vector<hal::OperatingPoint> at(double d) {
     return map_.available_best_rate(d);
   }
-  PowerTable table_;
-  phy::LinkBudget budget_;
-  RegimeMap map_{table_, budget_};
+  RegimeMap map_{backends::braidio_backend()};
 };
 
 TEST_F(DeadlineTest, ThroughputHelperMatchesMixArithmetic) {
@@ -38,14 +37,14 @@ TEST_F(DeadlineTest, UnconstrainedOptimumReturnedWhenFastEnough) {
 // A candidate set with a real energy/throughput tension: a cheap but
 // crawling braid (Y+Z at 10 kbps-dominated airtime) against an expensive
 // fast symmetric mode (X at 1 Mbps).
-std::vector<ModeCandidate> tension_candidates() {
+std::vector<hal::OperatingPoint> tension_candidates() {
   return {
       // X: symmetric 1 Mbps, 100 nJ/bit per end.
-      {phy::LinkMode::Active, phy::Bitrate::M1, 0.1, 0.1},
+      {hal::LinkMode::Active, hal::Bitrate::M1, 0.1, 0.1},
       // Y: cheap 10 kbps point favoring the transmitter (5/20 nJ).
-      {phy::LinkMode::Backscatter, phy::Bitrate::k10, 5e-5, 2e-4},
+      {hal::LinkMode::Backscatter, hal::Bitrate::k10, 5e-5, 2e-4},
       // Z: 1 Mbps point favoring the receiver (200/50 nJ).
-      {phy::LinkMode::PassiveRx, phy::Bitrate::M1, 0.2, 0.05},
+      {hal::LinkMode::PassiveRx, hal::Bitrate::M1, 0.2, 0.05},
   };
 }
 
@@ -107,7 +106,7 @@ TEST_F(DeadlineTest, TripleMixesAppearWhenNeeded) {
   EXPECT_NEAR(frac, 1.0, 1e-9);
   // Analytic corner check: p_Y = 0.0909, p_Z = p_Y / 10, rest on X.
   for (const auto& e : plan.entries) {
-    if (e.candidate.rate == phy::Bitrate::k10) {
+    if (e.candidate.rate == hal::Bitrate::k10) {
       EXPECT_NEAR(e.fraction, 0.0909, 0.001);
     }
   }

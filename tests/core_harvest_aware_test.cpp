@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "backends/backends.hpp"
 #include "core/offload.hpp"
 
 namespace braidio::core {
@@ -9,9 +10,7 @@ namespace {
 
 class HarvestAwareTest : public ::testing::Test {
  protected:
-  PowerTable table_;
-  phy::LinkBudget budget_;
-  RegimeMap map_{table_, budget_};
+  RegimeMap map_{backends::braidio_backend()};
 };
 
 TEST_F(HarvestAwareTest, HarvestedPowerDecaysWithDistance) {
@@ -32,15 +31,15 @@ TEST_F(HarvestAwareTest, CreditLandsOnTheNonCarrierEnd) {
   ASSERT_EQ(adjusted.size(), raw.size());
   for (std::size_t i = 0; i < raw.size(); ++i) {
     switch (raw[i].mode) {
-      case phy::LinkMode::Backscatter:
+      case hal::LinkMode::Backscatter:
         EXPECT_LT(adjusted[i].tx_power_w, raw[i].tx_power_w);
         EXPECT_DOUBLE_EQ(adjusted[i].rx_power_w, raw[i].rx_power_w);
         break;
-      case phy::LinkMode::PassiveRx:
+      case hal::LinkMode::PassiveRx:
         EXPECT_LT(adjusted[i].rx_power_w, raw[i].rx_power_w);
         EXPECT_DOUBLE_EQ(adjusted[i].tx_power_w, raw[i].tx_power_w);
         break;
-      case phy::LinkMode::Active:
+      case hal::LinkMode::Active:
         EXPECT_EQ(adjusted[i], raw[i]);
         break;
     }
@@ -53,7 +52,7 @@ TEST_F(HarvestAwareTest, CloseRangeTagIsEnergyNeutral) {
   // drain-ratio span explodes.
   const auto adjusted = harvest_adjusted_candidates(map_, 0.15);
   for (const auto& c : adjusted) {
-    if (c.mode == phy::LinkMode::Backscatter) {
+    if (c.mode == hal::LinkMode::Backscatter) {
       EXPECT_LE(c.tx_power_w, 1e-9);
     }
   }
@@ -64,8 +63,8 @@ TEST_F(HarvestAwareTest, CloseRangeTagIsEnergyNeutral) {
 }
 
 TEST_F(HarvestAwareTest, BreakEvenDistanceIsSubMeter) {
-  const double d10k = tag_break_even_distance_m(map_, phy::Bitrate::k10);
-  const double d1m = tag_break_even_distance_m(map_, phy::Bitrate::M1);
+  const double d10k = tag_break_even_distance_m(map_, hal::Bitrate::k10);
+  const double d1m = tag_break_even_distance_m(map_, hal::Bitrate::M1);
   EXPECT_GT(d10k, 0.1);
   EXPECT_LT(d10k, 1.0);
   // The faster tag draws more, so it breaks even closer in.
@@ -75,9 +74,9 @@ TEST_F(HarvestAwareTest, BreakEvenDistanceIsSubMeter) {
 TEST_F(HarvestAwareTest, WeakCarrierShrinksBreakEven) {
   HarvestAwareConfig weak;
   weak.carrier_dbm = 0.0;
-  const double strong = tag_break_even_distance_m(map_, phy::Bitrate::k10);
+  const double strong = tag_break_even_distance_m(map_, hal::Bitrate::k10);
   const double feeble =
-      tag_break_even_distance_m(map_, phy::Bitrate::k10, weak);
+      tag_break_even_distance_m(map_, hal::Bitrate::k10, weak);
   EXPECT_LT(feeble, strong);
 }
 

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "backends/backends.hpp"
 #include "util/units.hpp"
 
 namespace braidio::core {
@@ -16,9 +17,7 @@ class LifetimeTest : public ::testing::Test {
     return *spec;
   }
 
-  PowerTable table_;
-  phy::LinkBudget budget_;
-  LifetimeSimulator sim_{table_, budget_};
+  LifetimeSimulator sim_{backends::braidio_backend()};
   LifetimeConfig close_{.distance_m = 0.5};
 };
 
@@ -170,8 +169,8 @@ TEST_F(LifetimeTest, RapidSwitchingWouldNotBeNegligible) {
 }
 
 TEST_F(LifetimeTest, SingleModeBitsMatchClosedForm) {
-  const auto& c = table_.candidate(phy::LinkMode::PassiveRx,
-                                   phy::Bitrate::M1);
+  const auto& c =
+      sim_.regimes().candidate(hal::LinkMode::PassiveRx, hal::Bitrate::M1);
   const double e1 = 100.0, e2 = 50.0;
   EXPECT_NEAR(
       sim_.single_mode_bits(c, util::Joules(e1), util::Joules(e2), false),
@@ -196,9 +195,7 @@ TEST_F(LifetimeTest, OutOfRangeThrows) {
 class DistanceSweep : public ::testing::TestWithParam<double> {};
 
 TEST_P(DistanceSweep, GainNeverBelowBluetooth) {
-  PowerTable table;
-  phy::LinkBudget budget;
-  LifetimeSimulator sim(table, budget);
+  LifetimeSimulator sim(backends::braidio_backend());
   LifetimeConfig cfg;
   cfg.distance_m = GetParam();
   const auto& catalog = energy::device_catalog();

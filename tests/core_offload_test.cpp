@@ -14,10 +14,11 @@
 namespace braidio::core {
 namespace {
 
-std::vector<ModeCandidate> full_rate_candidates() {
+using hal::Bitrate;
+using hal::LinkMode;
+
+std::vector<hal::OperatingPoint> full_rate_candidates() {
   PowerTable table;
-  using phy::Bitrate;
-  using phy::LinkMode;
   return {table.candidate(LinkMode::Active, Bitrate::M1),
           table.candidate(LinkMode::PassiveRx, Bitrate::M1),
           table.candidate(LinkMode::Backscatter, Bitrate::M1)};
@@ -32,10 +33,10 @@ TEST(Offload, Section4WorkedExample) {
   // a 10:1 energy ratio lands at 90.9% / 9.1% carrier ownership, i.e.
   // d1 ~ 109 mW and d2 ~ 10.9 mW. (The paper's quoted per-mode powers are
   // garbled, but 109 = 0.909 x 120 and 10.9 = 0.091 x 120 pin the braid.)
-  ModeCandidate carrier_at_tx{phy::LinkMode::PassiveRx, phy::Bitrate::M1,
-                              0.120, 10e-6};
-  ModeCandidate carrier_at_rx{phy::LinkMode::Backscatter, phy::Bitrate::M1,
-                              10e-6, 0.120};
+  hal::OperatingPoint carrier_at_tx{LinkMode::PassiveRx, Bitrate::M1,
+                                    0.120, 10e-6};
+  hal::OperatingPoint carrier_at_rx{LinkMode::Backscatter, Bitrate::M1,
+                                    10e-6, 0.120};
   const auto plan =
       OffloadPlanner::plan({carrier_at_tx, carrier_at_rx}, 10.0, 1.0);
   ASSERT_TRUE(plan.proportional);
@@ -61,8 +62,8 @@ TEST(Offload, SymmetricEnergiesBraidPassiveAndBackscatter) {
   ASSERT_EQ(plan.entries.size(), 2u);
   bool has_passive = false, has_backscatter = false;
   for (const auto& e : plan.entries) {
-    has_passive |= e.candidate.mode == phy::LinkMode::PassiveRx;
-    has_backscatter |= e.candidate.mode == phy::LinkMode::Backscatter;
+    has_passive |= e.candidate.mode == hal::LinkMode::PassiveRx;
+    has_backscatter |= e.candidate.mode == hal::LinkMode::Backscatter;
   }
   EXPECT_TRUE(has_passive);
   EXPECT_TRUE(has_backscatter);
@@ -80,13 +81,13 @@ TEST(Offload, ExtremeAsymmetryPicksPureSingleMode) {
   const auto plan = OffloadPlanner::plan(candidates, 1.0, 3546.0);
   ASSERT_TRUE(plan.proportional);
   ASSERT_EQ(plan.entries.size(), 1u);
-  EXPECT_EQ(plan.entries[0].candidate.mode, phy::LinkMode::Backscatter);
+  EXPECT_EQ(plan.entries[0].candidate.mode, hal::LinkMode::Backscatter);
   EXPECT_NEAR(plan.entries[0].fraction, 1.0, 1e-9);
   // Transmitter-rich: E1/E2 = 2546 is exactly the passive corner.
   const auto tx_rich = OffloadPlanner::plan(candidates, 2546.0, 1.0);
   ASSERT_TRUE(tx_rich.proportional);
   ASSERT_EQ(tx_rich.entries.size(), 1u);
-  EXPECT_EQ(tx_rich.entries[0].candidate.mode, phy::LinkMode::PassiveRx);
+  EXPECT_EQ(tx_rich.entries[0].candidate.mode, hal::LinkMode::PassiveRx);
 }
 
 TEST(Offload, InfeasibleRatioClampsToBestCorner) {
@@ -97,12 +98,12 @@ TEST(Offload, InfeasibleRatioClampsToBestCorner) {
   const auto plan = OffloadPlanner::plan(candidates, 1e9, 1.0);
   EXPECT_FALSE(plan.proportional);
   ASSERT_EQ(plan.entries.size(), 1u);
-  EXPECT_EQ(plan.entries[0].candidate.mode, phy::LinkMode::PassiveRx);
+  EXPECT_EQ(plan.entries[0].candidate.mode, hal::LinkMode::PassiveRx);
   // Mirror case: RX hugely rich -> backscatter protects the transmitter.
   const auto mirror = OffloadPlanner::plan(candidates, 1.0, 1e9);
   EXPECT_FALSE(mirror.proportional);
   ASSERT_EQ(mirror.entries.size(), 1u);
-  EXPECT_EQ(mirror.entries[0].candidate.mode, phy::LinkMode::Backscatter);
+  EXPECT_EQ(mirror.entries[0].candidate.mode, hal::LinkMode::Backscatter);
 }
 
 TEST(Offload, PlanCostsAreConvexCombinations) {
@@ -223,8 +224,8 @@ TEST(OffloadBidirectional, AsymmetryFavorsSmallDeviceInBothRoles) {
   for (const auto& e : plan.entries) {
     ASSERT_TRUE(e.reverse.has_value());
     if (e.fraction > 0.5) {
-      EXPECT_EQ(e.candidate.mode, phy::LinkMode::Backscatter);
-      EXPECT_EQ(e.reverse->mode, phy::LinkMode::PassiveRx);
+      EXPECT_EQ(e.candidate.mode, hal::LinkMode::Backscatter);
+      EXPECT_EQ(e.reverse->mode, hal::LinkMode::PassiveRx);
     }
   }
 }
@@ -283,8 +284,8 @@ TEST(OffloadHeterogeneous, BraidioTagToReaderIsBackscatterOnly) {
   const PowerTable table;
   ASSERT_EQ(candidates.size(), 3u);
   for (const auto& c : candidates) {
-    EXPECT_EQ(c.mode, phy::LinkMode::Backscatter);
-    const auto& tag = table.candidate(phy::LinkMode::Backscatter, c.rate);
+    EXPECT_EQ(c.mode, hal::LinkMode::Backscatter);
+    const auto& tag = table.candidate(hal::LinkMode::Backscatter, c.rate);
     EXPECT_DOUBLE_EQ(c.tx_power_w, tag.tx_power_w);
     EXPECT_DOUBLE_EQ(c.rx_power_w, 0.64);  // AS3993-class reader
   }
@@ -297,7 +298,7 @@ TEST(OffloadHeterogeneous, PlanChargesEachEndItsOwnLattice) {
   ASSERT_FALSE(plan.entries.empty());
   double fractions = 0.0;
   for (const auto& e : plan.entries) {
-    EXPECT_EQ(e.candidate.mode, phy::LinkMode::Backscatter);
+    EXPECT_EQ(e.candidate.mode, hal::LinkMode::Backscatter);
     fractions += e.fraction;
   }
   EXPECT_NEAR(fractions, 1.0, 1e-9);
@@ -316,8 +317,8 @@ TEST(OffloadHeterogeneous, BlispPairMixesActiveAndBackscatter) {
   ASSERT_EQ(candidates.size(), 4u);
   std::size_t active = 0, backscatter = 0;
   for (const auto& c : candidates) {
-    if (c.mode == phy::LinkMode::Active) ++active;
-    if (c.mode == phy::LinkMode::Backscatter) ++backscatter;
+    if (c.mode == hal::LinkMode::Active) ++active;
+    if (c.mode == hal::LinkMode::Backscatter) ++backscatter;
   }
   EXPECT_EQ(active, 1u);
   EXPECT_EQ(backscatter, 3u);

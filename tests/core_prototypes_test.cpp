@@ -30,11 +30,11 @@ TEST_F(PrototypesTest, CandidatesOverrideOnlyTheReceiveChain) {
   const auto candidates = prototype_candidates(v1, v3_);
   ASSERT_EQ(candidates.size(), v3_.candidates().size());
   for (const auto& c : candidates) {
-    if (c.mode == phy::LinkMode::Backscatter) {
+    if (c.mode == hal::LinkMode::Backscatter) {
       EXPECT_DOUBLE_EQ(c.rx_power_w, 0.640);
       // Tag side untouched: the Moo tag is already micro-watt class.
       EXPECT_LT(c.tx_power_w, 40e-6);
-    } else if (c.mode == phy::LinkMode::Active) {
+    } else if (c.mode == hal::LinkMode::Active) {
       EXPECT_EQ(c, v3_.candidate(c.mode, c.rate));
     }
   }
@@ -57,9 +57,9 @@ TEST_F(PrototypesTest, DiagonalGainTracksReceiveChainPower) {
   for (const auto& proto : prototype_table()) {
     auto candidates = prototype_candidates(proto, v3_);
     // Full-rate candidates only (the diagonal scenario of Fig. 15).
-    std::vector<ModeCandidate> fast;
+    std::vector<hal::OperatingPoint> fast;
     for (const auto& c : candidates) {
-      if (c.rate == phy::Bitrate::M1) fast.push_back(c);
+      if (c.rate == hal::Bitrate::M1) fast.push_back(c);
     }
     const auto plan = OffloadPlanner::plan(fast, 1.0, 1.0);
     gains.push_back(bt_per_bit / plan.tx_joules_per_bit);

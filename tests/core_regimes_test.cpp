@@ -2,14 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include "backends/backends.hpp"
+#include "core/power_table.hpp"
+
 namespace braidio::core {
 namespace {
 
 class RegimesTest : public ::testing::Test {
  protected:
-  PowerTable table_;
-  phy::LinkBudget budget_;
-  RegimeMap map_{table_, budget_};
+  RegimeMap map_{backends::braidio_backend()};
 };
 
 TEST_F(RegimesTest, RegimeBoundariesMatchFig8Narrative) {
@@ -36,7 +37,7 @@ TEST_F(RegimesTest, AvailableShrinksWithDistance) {
   const auto far = map_.available(5.5);
   ASSERT_EQ(far.size(), 3u);
   for (const auto& c : far) {
-    EXPECT_EQ(c.mode, phy::LinkMode::Active);
+    EXPECT_EQ(c.mode, hal::LinkMode::Active);
   }
 }
 
@@ -46,30 +47,31 @@ TEST_F(RegimesTest, BestRateRespectsFig13Steps) {
   const auto close = map_.available_best_rate(0.3);
   ASSERT_EQ(close.size(), 3u);
   for (const auto& c : close) {
-    EXPECT_EQ(c.rate, phy::Bitrate::M1) << c.label();
+    EXPECT_EQ(c.rate, hal::Bitrate::M1) << c.label();
   }
   const auto mid = map_.available_best_rate(1.2);
   ASSERT_EQ(mid.size(), 3u);
   for (const auto& c : mid) {
-    if (c.mode == phy::LinkMode::Backscatter) {
-      EXPECT_EQ(c.rate, phy::Bitrate::k100);
+    if (c.mode == hal::LinkMode::Backscatter) {
+      EXPECT_EQ(c.rate, hal::Bitrate::k100);
     } else {
-      EXPECT_EQ(c.rate, phy::Bitrate::M1);
+      EXPECT_EQ(c.rate, hal::Bitrate::M1);
     }
   }
 }
 
 TEST_F(RegimesTest, RegimeBCandidatesHaveNoBackscatter) {
   for (const auto& c : map_.available(3.0)) {
-    EXPECT_NE(c.mode, phy::LinkMode::Backscatter) << c.label();
+    EXPECT_NE(c.mode, hal::LinkMode::Backscatter) << c.label();
   }
   const auto best = map_.available_best_rate(3.0);
   EXPECT_EQ(best.size(), 2u);  // active + passive
 }
 
 TEST_F(RegimesTest, CandidatesCarryPowerTableEntries) {
+  const PowerTable table;
   for (const auto& c : map_.available_best_rate(0.3)) {
-    const auto& reference = table_.candidate(c.mode, c.rate);
+    const auto& reference = table.candidate(c.mode, c.rate);
     EXPECT_EQ(c, reference);
   }
 }

@@ -95,12 +95,12 @@ TEST(PlannerFuzz, RandomCandidateSetsKeepInvariants) {
   util::Rng rng(0xACE);
   for (int trial = 0; trial < 3'000; ++trial) {
     const auto n = 1 + rng.uniform_int(0, 5);
-    std::vector<core::ModeCandidate> candidates;
+    std::vector<hal::OperatingPoint> candidates;
     double lo_ratio = 1e300, hi_ratio = -1e300;
     for (std::uint64_t i = 0; i < n; ++i) {
-      core::ModeCandidate c;
-      c.mode = phy::LinkMode::Active;
-      c.rate = phy::Bitrate::M1;
+      hal::OperatingPoint c;
+      c.mode = hal::LinkMode::Active;
+      c.rate = hal::Bitrate::M1;
       c.tx_power_w = rng.uniform(1e-6, 1.0);
       c.rx_power_w = rng.uniform(1e-6, 1.0);
       candidates.push_back(c);

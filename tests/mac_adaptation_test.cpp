@@ -43,34 +43,34 @@ TEST(SnrEstimator, StalenessClock) {
 
 // Requirement model for the selector tests: 1M needs 20 dB, 100k 14 dB,
 // 10k 8 dB.
-double need(phy::Bitrate rate) {
+double need(hal::Bitrate rate) {
   switch (rate) {
-    case phy::Bitrate::M1: return 20.0;
-    case phy::Bitrate::k100: return 14.0;
-    case phy::Bitrate::k10: return 8.0;
+    case hal::Bitrate::M1: return 20.0;
+    case hal::Bitrate::k100: return 14.0;
+    case hal::Bitrate::k10: return 8.0;
   }
   return 0.0;
 }
 
 TEST(RateSelector, PicksHighestSustainableRate) {
   RateSelector sel;
-  EXPECT_EQ(sel.select(25.0, need), phy::Bitrate::M1);
-  EXPECT_EQ(sel.select(16.0, need), phy::Bitrate::k100);
-  EXPECT_EQ(sel.select(9.0, need), phy::Bitrate::k10);
+  EXPECT_EQ(sel.select(25.0, need), hal::Bitrate::M1);
+  EXPECT_EQ(sel.select(16.0, need), hal::Bitrate::k100);
+  EXPECT_EQ(sel.select(9.0, need), hal::Bitrate::k10);
   EXPECT_FALSE(sel.select(5.0, need).has_value());
 }
 
 TEST(RateSelector, HysteresisBlocksPingPong) {
   RateSelector sel({.target_ber = 0.01, .up_margin_db = 3.0});
   // Settle at 100k.
-  EXPECT_EQ(sel.select(15.0, need), phy::Bitrate::k100);
+  EXPECT_EQ(sel.select(15.0, need), hal::Bitrate::k100);
   // SNR creeps just past the 1M requirement: upgrade needs 20+3 dB.
-  EXPECT_EQ(sel.select(21.0, need), phy::Bitrate::k100);
-  EXPECT_EQ(sel.select(22.9, need), phy::Bitrate::k100);
+  EXPECT_EQ(sel.select(21.0, need), hal::Bitrate::k100);
+  EXPECT_EQ(sel.select(22.9, need), hal::Bitrate::k100);
   // Clear margin: upgrade.
-  EXPECT_EQ(sel.select(23.5, need), phy::Bitrate::M1);
+  EXPECT_EQ(sel.select(23.5, need), hal::Bitrate::M1);
   // Downgrades are immediate (no margin): protects the link.
-  EXPECT_EQ(sel.select(19.0, need), phy::Bitrate::k100);
+  EXPECT_EQ(sel.select(19.0, need), hal::Bitrate::k100);
 }
 
 TEST(RateSelector, ResetClearsHysteresisState) {
@@ -79,7 +79,7 @@ TEST(RateSelector, ResetClearsHysteresisState) {
   sel.reset();
   EXPECT_FALSE(sel.current().has_value());
   // Fresh selector takes 21 dB at face value (no upgrade margin applies).
-  EXPECT_EQ(sel.select(21.0, need), phy::Bitrate::M1);
+  EXPECT_EQ(sel.select(21.0, need), hal::Bitrate::M1);
   EXPECT_THROW(RateSelector({.target_ber = 0.0, .up_margin_db = 1.0}),
                std::invalid_argument);
 }
@@ -93,20 +93,20 @@ TEST(RateSelector, DrivesOffTheRealLinkBudget) {
     // Work in received-power space: a rate is sustainable when the
     // received power exceeds its calibrated floor plus the demodulator's
     // required SNR.
-    auto need_fn = [&](phy::Bitrate rate) {
-      return budget.noise_floor_dbm(phy::LinkMode::Backscatter, rate) +
+    auto need_fn = [&](hal::Bitrate rate) {
+      return budget.noise_floor_dbm(hal::LinkMode::Backscatter, rate) +
              phy::required_snr_db(
-                 phy::LinkBudget::ber_model(phy::LinkMode::Backscatter),
+                 phy::LinkBudget::ber_model(hal::LinkMode::Backscatter),
                  0.01);
     };
     const double rx_dbm =
-        budget.received_power_dbm(phy::LinkMode::Backscatter, d);
+        budget.received_power_dbm(hal::LinkMode::Backscatter, d);
     return sel.select(rx_dbm, need_fn);
   };
   sel.reset();
-  EXPECT_EQ(pick(0.5), phy::Bitrate::M1);
-  EXPECT_EQ(pick(1.2), phy::Bitrate::k100);
-  EXPECT_EQ(pick(2.0), phy::Bitrate::k10);
+  EXPECT_EQ(pick(0.5), hal::Bitrate::M1);
+  EXPECT_EQ(pick(1.2), hal::Bitrate::k100);
+  EXPECT_EQ(pick(2.0), hal::Bitrate::k10);
   EXPECT_FALSE(pick(3.0).has_value());
 }
 

@@ -32,7 +32,7 @@ TEST_F(ChannelTest, CleanLinkDeliversEverything) {
   const Frame f = sample_frame();
   for (int i = 0; i < 200; ++i) {
     const auto got =
-        channel.transmit(f, phy::LinkMode::Backscatter, phy::Bitrate::M1);
+        channel.transmit(f, hal::LinkMode::Backscatter, hal::Bitrate::M1);
     ASSERT_TRUE(got.has_value());
     EXPECT_EQ(*got, f);
   }
@@ -45,7 +45,7 @@ TEST_F(ChannelTest, OutOfRangeLinkLosesEverything) {
   const Frame f = sample_frame();
   int delivered = 0;
   for (int i = 0; i < 100; ++i) {
-    if (channel.transmit(f, phy::LinkMode::Backscatter, phy::Bitrate::M1)) {
+    if (channel.transmit(f, hal::LinkMode::Backscatter, hal::Bitrate::M1)) {
       ++delivered;
     }
   }
@@ -58,14 +58,14 @@ TEST_F(ChannelTest, LossRateMatchesPacketErrorModel) {
   PacketChannel channel(budget_, cfg, util::Rng(3));
   const Frame f = sample_frame();
   const double ber =
-      channel.current_ber(phy::LinkMode::Backscatter, phy::Bitrate::M1);
+      channel.current_ber(hal::LinkMode::Backscatter, hal::Bitrate::M1);
   ASSERT_GT(ber, 1e-4);
   const double expected_loss =
       phy::packet_error_rate(ber, static_cast<unsigned>(f.wire_bits()));
   const int n = 4000;
   int lost = 0;
   for (int i = 0; i < n; ++i) {
-    if (!channel.transmit(f, phy::LinkMode::Backscatter, phy::Bitrate::M1)) {
+    if (!channel.transmit(f, hal::LinkMode::Backscatter, hal::Bitrate::M1)) {
       ++lost;
     }
   }
@@ -79,8 +79,8 @@ TEST_F(ChannelTest, ExtraLossShiftsBer) {
   shadowed.extra_loss_db = 6.0;
   PacketChannel a(budget_, clean, util::Rng(4));
   PacketChannel b(budget_, shadowed, util::Rng(4));
-  EXPECT_LT(a.current_ber(phy::LinkMode::Backscatter, phy::Bitrate::M1),
-            b.current_ber(phy::LinkMode::Backscatter, phy::Bitrate::M1));
+  EXPECT_LT(a.current_ber(hal::LinkMode::Backscatter, hal::Bitrate::M1),
+            b.current_ber(hal::LinkMode::Backscatter, hal::Bitrate::M1));
 }
 
 TEST_F(ChannelTest, BlockFadingAddsVariability) {
@@ -93,7 +93,7 @@ TEST_F(ChannelTest, BlockFadingAddsVariability) {
   const Frame f = sample_frame();
   int lost = 0;
   for (int i = 0; i < 2000; ++i) {
-    if (!channel.transmit(f, phy::LinkMode::Backscatter, phy::Bitrate::M1)) {
+    if (!channel.transmit(f, hal::LinkMode::Backscatter, hal::Bitrate::M1)) {
       ++lost;
     }
   }
@@ -103,20 +103,20 @@ TEST_F(ChannelTest, BlockFadingAddsVariability) {
 
 TEST_F(ChannelTest, AirtimeAccounting) {
   const Frame f = sample_frame(32);  // 32 + 7 + 2 bytes = 328 bits
-  EXPECT_DOUBLE_EQ(PacketChannel::airtime_s(f, phy::Bitrate::M1), 328e-6);
-  EXPECT_DOUBLE_EQ(PacketChannel::airtime_s(f, phy::Bitrate::k10), 32.8e-3);
+  EXPECT_DOUBLE_EQ(PacketChannel::airtime_s(f, hal::Bitrate::M1), 328e-6);
+  EXPECT_DOUBLE_EQ(PacketChannel::airtime_s(f, hal::Bitrate::k10), 32.8e-3);
 }
 
 TEST_F(ChannelTest, DistanceCanChangeMidRun) {
   PacketChannel channel(budget_, {.distance_m = 0.3}, util::Rng(6));
   const Frame f = sample_frame();
   EXPECT_TRUE(
-      channel.transmit(f, phy::LinkMode::Backscatter, phy::Bitrate::M1)
+      channel.transmit(f, hal::LinkMode::Backscatter, hal::Bitrate::M1)
           .has_value());
   channel.set_distance(5.0);
   EXPECT_DOUBLE_EQ(channel.distance(), 5.0);
   EXPECT_FALSE(
-      channel.transmit(f, phy::LinkMode::Backscatter, phy::Bitrate::M1)
+      channel.transmit(f, hal::LinkMode::Backscatter, hal::Bitrate::M1)
           .has_value());
   EXPECT_THROW(channel.set_distance(-1.0), std::invalid_argument);
 }
@@ -147,13 +147,13 @@ TEST_F(ChannelTest, CoherentFadingHoldsAcrossDataAckExchange) {
     for (int i = 0; i < pairs; ++i) {
       channel.set_clock(util::Seconds(clock));
       const bool d = channel
-                         .transmit(data, phy::LinkMode::Backscatter,
-                                   phy::Bitrate::M1)
+                         .transmit(data, hal::LinkMode::Backscatter,
+                                   hal::Bitrate::M1)
                          .has_value();
       channel.set_clock(util::Seconds(clock + kTurnaroundS));
       const bool k = channel
-                         .transmit(ack, phy::LinkMode::Backscatter,
-                                   phy::Bitrate::M1)
+                         .transmit(ack, hal::LinkMode::Backscatter,
+                                   hal::Bitrate::M1)
                          .has_value();
       data_ok += d ? 1 : 0;
       both_ok += (d && k) ? 1 : 0;
@@ -185,18 +185,18 @@ TEST_F(ChannelTest, CarrierDropoutFaultBlocksEverything) {
   const Frame f = sample_frame();
   channel.set_clock(util::Seconds(0.5));  // before the outage
   EXPECT_TRUE(
-      channel.transmit(f, phy::LinkMode::Backscatter, phy::Bitrate::M1)
+      channel.transmit(f, hal::LinkMode::Backscatter, hal::Bitrate::M1)
           .has_value());
   // inside the outage: deterministic loss
   channel.set_clock(util::Seconds(1.5));
   for (int i = 0; i < 50; ++i) {
     EXPECT_FALSE(
-        channel.transmit(f, phy::LinkMode::Backscatter, phy::Bitrate::M1)
+        channel.transmit(f, hal::LinkMode::Backscatter, hal::Bitrate::M1)
             .has_value());
   }
   channel.set_clock(util::Seconds(2.5));  // after the outage
   EXPECT_TRUE(
-      channel.transmit(f, phy::LinkMode::Backscatter, phy::Bitrate::M1)
+      channel.transmit(f, hal::LinkMode::Backscatter, hal::Bitrate::M1)
           .has_value());
 }
 
@@ -211,15 +211,15 @@ TEST_F(ChannelTest, ShadowingFaultRaisesLossInsideItsWindow) {
   int shadowed = 0;
   channel.set_clock(util::Seconds(1.0));
   for (int i = 0; i < 300; ++i) {
-    clean += channel.transmit(f, phy::LinkMode::Backscatter,
-                              phy::Bitrate::M1)
+    clean += channel.transmit(f, hal::LinkMode::Backscatter,
+                              hal::Bitrate::M1)
                  ? 1
                  : 0;
   }
   channel.set_clock(util::Seconds(15.0));
   for (int i = 0; i < 300; ++i) {
-    shadowed += channel.transmit(f, phy::LinkMode::Backscatter,
-                                 phy::Bitrate::M1)
+    shadowed += channel.transmit(f, hal::LinkMode::Backscatter,
+                                 hal::Bitrate::M1)
                     ? 1
                     : 0;
   }
@@ -244,7 +244,7 @@ TEST_F(ChannelTest, CorruptionNeverForgesContent) {
   const Frame f = sample_frame();
   for (int i = 0; i < 3000; ++i) {
     const auto got =
-        channel.transmit(f, phy::LinkMode::Backscatter, phy::Bitrate::M1);
+        channel.transmit(f, hal::LinkMode::Backscatter, hal::Bitrate::M1);
     if (got) {
       EXPECT_EQ(*got, f);
     }

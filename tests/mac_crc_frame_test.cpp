@@ -3,7 +3,7 @@
 #include "mac/crc.hpp"
 #include "mac/frame.hpp"
 #include "mac/probe.hpp"
-#include "phy/link_mode.hpp"
+#include "hal/link_mode.hpp"
 #include "util/rng.hpp"
 
 namespace braidio::mac {
@@ -133,7 +133,7 @@ TEST(Frame, WireBitsAccounting) {
 // ---------- Control payloads ----------
 
 TEST(Probe, RoundTrip) {
-  const ProbePayload p{phy::LinkMode::Backscatter, phy::Bitrate::k100, 512};
+  const ProbePayload p{hal::LinkMode::Backscatter, hal::Bitrate::k100, 512};
   const auto parsed = parse_probe(serialize(p));
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->mode, p.mode);
@@ -144,8 +144,8 @@ TEST(Probe, RoundTrip) {
 
 TEST(ProbeReport, RoundTripWithFloats) {
   ProbeReportPayload p;
-  p.mode = phy::LinkMode::PassiveRx;
-  p.rate = phy::Bitrate::M1;
+  p.mode = hal::LinkMode::PassiveRx;
+  p.rate = hal::Bitrate::M1;
   p.token = 99;
   p.snr_db = 23.75f;
   p.ber_estimate = 1.5e-3f;
@@ -165,7 +165,7 @@ TEST(BatteryStatus, RoundTrip) {
 }
 
 TEST(ModeSwitch, RoundTripAndInvalidModeRejected) {
-  const ModeSwitchPayload p{phy::LinkMode::Backscatter, phy::Bitrate::k10, 8};
+  const ModeSwitchPayload p{hal::LinkMode::Backscatter, hal::Bitrate::k10, 8};
   const auto parsed = parse_mode_switch(serialize(p));
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->packets_in_mode, 8u);
@@ -178,8 +178,8 @@ TEST(ModeSwitch, RoundTripAndInvalidModeRejected) {
 TEST(ControlPayloads, CarryInsideFrames) {
   Frame f;
   f.type = FrameType::Probe;
-  f.payload = serialize(ProbePayload{phy::LinkMode::Active,
-                                     phy::Bitrate::k10, 7});
+  f.payload = serialize(ProbePayload{hal::LinkMode::Active,
+                                     hal::Bitrate::k10, 7});
   const auto parsed = deserialize(serialize(f));
   ASSERT_TRUE(parsed.has_value());
   const auto probe = parse_probe(parsed->payload);

@@ -8,10 +8,10 @@
 #include <string>
 #include <vector>
 
+#include "backends/backends.hpp"
 #include "gtest/gtest.h"
 #include "json_parse.hpp"
 #include "core/braided_link.hpp"
-#include "core/braidio_radio.hpp"
 #include "core/mobility_sim.hpp"
 #include "energy/ledger.hpp"
 #include "obs/event.hpp"
@@ -19,7 +19,6 @@
 #include "obs/obs.hpp"
 #include "obs/span.hpp"
 #include "obs/tracer.hpp"
-#include "phy/link_budget.hpp"
 #include "sim/bench_telemetry.hpp"
 #include "util/units.hpp"
 #include "sim/faults/fault_timeline.hpp"
@@ -125,6 +124,20 @@ TEST(MetricsRegistry, BuiltinAndNamedMetricsRoundTrip) {
   EXPECT_EQ(r.histogram(obs::Histogram::EnergyPostJoules).count(), 1u);
   EXPECT_EQ(r.counters().at("custom_total"), 7u);
   EXPECT_DOUBLE_EQ(r.gauges().at("battery_frac"), 0.25);
+}
+
+TEST(MetricsRegistry, NamedMetricsRejectBuiltinNames) {
+  obs::MetricsRegistry r;
+  r.add(obs::Counter::SweepPoints, 3);
+  EXPECT_THROW(r.counter("sweep_points"), std::invalid_argument);
+  EXPECT_THROW(r.histogram("dwell_seconds", {1.0}), std::invalid_argument);
+  // Each kind is checked against its own builtins only.
+  r.counter("dwell_seconds") += 5;
+  r.histogram("sweep_points", {1.0}).record(0.5);
+  const auto doc = parse_json(r.to_json());
+  EXPECT_EQ(doc.at("counters").at("sweep_points").number, 3.0);
+  EXPECT_EQ(doc.at("counters").at("dwell_seconds").number, 5.0);
+  EXPECT_EQ(doc.at("histograms").at("sweep_points").at("count").number, 1.0);
 }
 
 TEST(MetricsRegistry, MergeAddsCountersAndKeepsLastGauge) {
@@ -542,9 +555,7 @@ TEST(EnergySpan, LedgerChargesAreTaggedWithTheSanitizedSpanPath) {
 // must sum to the ledger total for a mobility walk...
 TEST(EnergyAttribution, MobilityWalkConservesLedgerTotal) {
   obs::set_attribution_enabled(true);
-  core::PowerTable table;
-  phy::LinkBudget budget;
-  core::MobilitySimulator sim(table, budget);
+  core::MobilitySimulator sim(backends::braidio_backend());
   const auto trace =
       core::MobilityTrace::random_walk(0.3, 3.0, 1.4, util::Seconds(120.0),
                                        7);
@@ -572,11 +583,12 @@ TEST(EnergyAttribution, MobilityWalkConservesLedgerTotal) {
 // and fallback paths post through the same spans).
 TEST(EnergyAttribution, FaultedBraidConservesDeviceLedgers) {
   obs::set_attribution_enabled(true);
-  core::PowerTable table;
-  phy::LinkBudget budget;
-  core::RegimeMap regimes(table, budget);
-  core::BraidioRadio device1("device1", 1, util::WattHours(0.01), table);
-  core::BraidioRadio device2("device2", 2, util::WattHours(0.01), table);
+  const hal::RadioBackend& backend = backends::braidio_backend();
+  core::RegimeMap regimes(backend);
+  hal::StandardRadio device1("device1", 1, util::WattHours(0.01),
+                             backend.caps());
+  hal::StandardRadio device2("device2", 2, util::WattHours(0.01),
+                             backend.caps());
   const auto timeline = sim::faults::FaultTimeline::periodic_bursts(
       sim::faults::FaultKind::FadeBurst, /*count=*/3,
       /*first_start_s=*/0.02, /*period_s=*/0.2, /*duration_s=*/0.05,

@@ -12,9 +12,11 @@ namespace {
 
 TEST(IqChain, NoiselessBpskRoundTrip) {
   IqChain chain;
-  const auto bits = random_bits(500, 1);
-  const auto rx = chain.demodulate(chain.modulate(bits));
-  EXPECT_EQ(rx, bits);
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    const auto bits = random_bits(500, seed);
+    EXPECT_EQ(chain.demodulate(chain.modulate(bits)), bits)
+        << "seed " << seed;
+  }
 }
 
 TEST(IqChain, NoiselessBfskRoundTrip) {

@@ -7,6 +7,11 @@
 namespace braidio::phy {
 namespace {
 
+using hal::Bitrate;
+using hal::LinkMode;
+using hal::kAllBitrates;
+using hal::kAllLinkModes;
+
 class LinkBudgetTest : public ::testing::Test {
  protected:
   LinkBudget budget_;

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
-#include "phy/link_mode.hpp"
+#include "hal/link_mode.hpp"
 
 namespace braidio::phy {
 namespace {
+
+using hal::Bitrate;
+using hal::LinkMode;
 
 TEST(LinkMode, NamesAndRates) {
   EXPECT_STREQ(to_string(LinkMode::Active), "active");

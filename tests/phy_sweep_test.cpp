@@ -8,6 +8,11 @@
 namespace braidio::phy {
 namespace {
 
+using hal::Bitrate;
+using hal::LinkMode;
+using hal::kAllBitrates;
+using hal::kAllLinkModes;
+
 using ModeRate = std::tuple<LinkMode, Bitrate>;
 
 class ModeRateSweep : public ::testing::TestWithParam<ModeRate> {

@@ -8,6 +8,9 @@
 namespace braidio::phy {
 namespace {
 
+using hal::Bitrate;
+using hal::LinkMode;
+
 class WaveformTest : public ::testing::Test {
  protected:
   LinkBudget budget_;

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include "backends/backends.hpp"
 #include "core/lifetime_sim.hpp"
+#include "phy/link_budget.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
 
@@ -15,9 +17,7 @@ using JL = util::Joules;
 
 class PropertyTest : public ::testing::Test {
  protected:
-  core::PowerTable table_;
-  phy::LinkBudget budget_;
-  core::LifetimeSimulator sim_{table_, budget_};
+  core::LifetimeSimulator sim_{backends::braidio_backend()};
 };
 
 TEST_F(PropertyTest, BraidioNeverLosesToItsOwnModes) {
@@ -91,7 +91,7 @@ TEST_F(PropertyTest, BitsNeverExceedTheEnergyBound) {
   // cheapest conceivable per-bit cost at its end.
   util::Rng rng(0xB1B1);
   double min_t = 1e300, min_r = 1e300;
-  for (const auto& c : table_.candidates()) {
+  for (const auto& c : sim_.regimes().lattice()) {
     min_t = std::min(min_t, c.tx_joules_per_bit());
     min_r = std::min(min_r, c.rx_joules_per_bit());
   }
@@ -137,9 +137,9 @@ TEST_F(PropertyTest, RangeAndAvailabilityAgreeForRandomBudgets) {
     cfg.passive_range_100k = cfg.passive_range_1m_bps + rng.uniform(0.1, 1.0);
     cfg.passive_range_10k = cfg.passive_range_100k + rng.uniform(0.1, 1.0);
     phy::LinkBudget budget(cfg);
-    for (phy::LinkMode mode :
-         {phy::LinkMode::Backscatter, phy::LinkMode::PassiveRx}) {
-      for (phy::Bitrate rate : phy::kAllBitrates) {
+    for (hal::LinkMode mode :
+         {hal::LinkMode::Backscatter, hal::LinkMode::PassiveRx}) {
+      for (hal::Bitrate rate : hal::kAllBitrates) {
         const double r = budget.range_m(mode, rate);
         EXPECT_TRUE(budget.available(mode, rate, r * 0.98));
         EXPECT_FALSE(budget.available(mode, rate, r * 1.02));

@@ -60,7 +60,7 @@ TEST(Interference, RangeImpactOnThePassiveLink) {
   phy::LinkBudget budget;
   EnvelopeInterferenceModel model;
   const double floor_dbm =
-      budget.noise_floor_dbm(phy::LinkMode::PassiveRx, phy::Bitrate::k100);
+      budget.noise_floor_dbm(hal::LinkMode::PassiveRx, hal::Bitrate::k100);
   InterfererSpec interferer{floor_dbm, 150e3};
   const double penalty =
       model.snr_penalty_db(floor_dbm, interferer);
@@ -72,9 +72,9 @@ TEST(Interference, RangeImpactOnThePassiveLink) {
       std::pow(10.0, -penalty / 20.0);  // d^-2: 2 dB per distance decade*10
   phy::LinkBudget with_interference(degraded);
   const double clean_range =
-      budget.range_m(phy::LinkMode::PassiveRx, phy::Bitrate::k100);
+      budget.range_m(hal::LinkMode::PassiveRx, hal::Bitrate::k100);
   const double dirty_range = with_interference.range_m(
-      phy::LinkMode::PassiveRx, phy::Bitrate::k100);
+      hal::LinkMode::PassiveRx, hal::Bitrate::k100);
   EXPECT_NEAR(dirty_range / clean_range, 0.71, 0.03);
 }
 

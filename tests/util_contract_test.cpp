@@ -121,7 +121,7 @@ TEST(ModuleContractsDeathTest, CircuitsTransientRejectsInfiniteTimestep) {
 // Same split in the planner: NaN energies hit the documented throw, +inf
 // sails past `> 0` and must trip the finiteness contract.
 TEST(ModuleContractsDeathTest, CoreOffloadRejectsInfiniteEnergy) {
-  std::vector<core::ModeCandidate> candidates(1);
+  std::vector<hal::OperatingPoint> candidates(1);
   candidates[0].tx_power_w = 0.1;
   candidates[0].rx_power_w = 0.1;
   EXPECT_DEATH(core::OffloadPlanner::plan(candidates, kInf, 1.0), kDies);

@@ -7,7 +7,7 @@
 // expect: A5-layering
 #include "phy/link_budget.hpp"
 // expect: A5-layering
-#include "phy/link_mode.hpp"
+#include "phy/ber.hpp"
 
 // No finding: hal/ is the sanctioned dependency...
 #include "hal/channel_model.hpp"
