@@ -1,7 +1,8 @@
 // Google-benchmark microbenchmarks for the library's hot paths: the
 // planner (runs on every replan), the BER evaluators (every packet), the
 // waveform Monte-Carlo, CRC, the transient circuit solver, the shared
-// medium's carrier sense, and the observability overhead contract.
+// medium's carrier sense, the per-node RNG streams, and the
+// observability overhead contract.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -16,6 +17,7 @@
 #include "net/event_queue.hpp"
 #include "net/medium.hpp"
 #include "net/network_sim.hpp"
+#include "net/node.hpp"
 #include "net/topology.hpp"
 #include "obs/obs.hpp"
 #include "phy/ber.hpp"
@@ -66,6 +68,46 @@ void BM_Crc16(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_Crc16)->Arg(64)->Arg(1024);
+
+// A per-node stream's life: Rng::stream(seed, i) plus Arg() raw draws.
+// Arg(156) stays inside the engine's array-free window (draws 0-155);
+// Arg(157) adds draw 156, which builds the 312-word state; Arg(1000)
+// crosses two more twists. node_bytes is sizeof(net::Node), which the
+// 10k-tag stars pay per tag.
+void BM_RngStreamDraws(benchmark::State& state) {
+  const auto draws = static_cast<std::size_t>(state.range(0));
+  std::uint64_t index = 0;
+  for (auto _ : state) {
+    util::Rng rng = util::Rng::stream(1, index++);
+    std::uint64_t sum = 0;
+    for (std::size_t k = 0; k < draws; ++k) {
+      sum += rng.uniform_int(0, ~std::uint64_t{0});
+    }
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(draws));
+  state.counters["node_bytes"] = static_cast<double>(sizeof(net::Node));
+  state.counters["rng_bytes"] = static_cast<double>(sizeof(util::Rng));
+}
+BENCHMARK(BM_RngStreamDraws)->Arg(1)->Arg(16)->Arg(156)->Arg(157)->Arg(1000);
+
+// The steady-state draw path after 1000 draws: Arg(0) uniform(), Arg(1)
+// bernoulli(), the pair simulators' one-draw-per-channel-bit guard.
+void BM_RngUniformSteady(benchmark::State& state) {
+  util::Rng rng = util::Rng::stream(1, 0);
+  for (int k = 0; k < 1000; ++k) rng.uniform();
+  const bool bernoulli = state.range(0) == 1;
+  for (auto _ : state) {
+    if (bernoulli) {
+      benchmark::DoNotOptimize(rng.bernoulli(0.3));
+    } else {
+      benchmark::DoNotOptimize(rng.uniform());
+    }
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RngUniformSteady)->Arg(0)->Arg(1);
 
 void BM_WaveformMonteCarlo(benchmark::State& state) {
   phy::LinkBudget budget;

@@ -10,7 +10,7 @@ Node::Node(std::uint32_t index, std::unique_ptr<hal::IRadio> radio,
            util::Rng rng, CsmaConfig csma)
     : index_(index),
       radio_(std::move(radio)),
-      rng_(rng),
+      rng_(std::move(rng)),
       csma_(csma) {
   BRAIDIO_REQUIRE(radio_ != nullptr, "index", index);
 }

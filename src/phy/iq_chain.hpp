@@ -8,7 +8,7 @@
 //
 //   bits -> BPSK/BFSK symbols -> pulse shaping -> (channel: gain, phase
 //   offset, CFO, AWGN) -> quadrature downconversion -> matched filter ->
-//   carrier-phase estimation -> decision
+//   carrier-phase estimation and tracking -> decision
 //
 // It validates the analytic active-mode BER models at waveform level and
 // quantifies what coherent detection buys over the envelope chain — the
@@ -57,8 +57,10 @@ class IqChain {
 
   /// Demodulate received samples: matched filtering per symbol, then for
   /// BPSK a pilot-aided phase estimate over the prefix modulate() adds
-  /// (the pilot is stripped from the returned bits); energy comparison
-  /// for BFSK.
+  /// (the pilot is stripped from the returned bits) that a
+  /// decision-directed loop then tracks through residual CFO; energy
+  /// comparison for BFSK. `estimated_phase_rad` receives the pilot
+  /// estimate.
   std::vector<std::uint8_t> demodulate(
       const std::vector<std::complex<double>>& samples,
       double* estimated_phase_rad = nullptr) const;

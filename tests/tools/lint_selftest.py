@@ -6,6 +6,8 @@ asserts:
 
 * incremental `--paths` mode finds the planted R1/R4/R5 violations in
   the bad fixture (exit 1, one finding per planted rule),
+* R1 also flags each std::*_distribution and std::generate_canonical
+  use in the distribution fixture (one finding per line),
 * the clean fixture exits 0,
 * a missing file exits 2 (usage/internal error),
 * `--list` exits 0.
@@ -48,6 +50,14 @@ def main() -> int:
                f"bad fixture trips {rule}")
     expect("[test-registration]" not in bad.stdout,
            "--paths mode skips whole-tree R3")
+
+    dist = run("--paths", str(FIXTURES / "rng_distribution.cpp_fixture"))
+    expect(dist.returncode == 1, "distribution fixture exits 1")
+    for label in ("std::*_distribution", "std::generate_canonical"):
+        expect(f"[no-global-rng] {label}" in dist.stdout,
+               f"distribution fixture trips R1 on {label}")
+    expect(dist.stdout.count("[no-global-rng]") == 3,
+           "distribution fixture: one R1 finding per banned line")
 
     clean = run("--paths", str(FIXTURES / "clean.cpp_fixture"))
     expect(clean.returncode == 0, "clean fixture exits 0")

@@ -1,8 +1,11 @@
 #include "util/rng.hpp"
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <numbers>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -142,6 +145,94 @@ TEST(Rng, UniformIntStreamPinnedBitForBit) {
   Rng fixed(3);
   EXPECT_EQ(fixed.uniform_int(42, 42), 42u);
 }
+
+// The standard's own check on the engine (C++ [rand.predef]): the 10000th
+// output of an MT19937-64 seeded with 5489 is 9981545732273789042.
+TEST(Rng, EngineMatchesStandardMt19937_64) {
+  Rng rng(5489);
+  std::uint64_t draw = 0;
+  for (int i = 0; i < 10'000; ++i) {
+    draw = rng.uniform_int(0, std::numeric_limits<std::uint64_t>::max());
+  }
+  EXPECT_EQ(draw, 9981545732273789042ull);
+}
+
+// Raw outputs and uniform() bit patterns of the first four net node streams
+// at positions on both sides of the array-free window (0-155), the state
+// build (156) and the twists (312, 624). Recorded from std::mt19937_64 with
+// std::uniform_real_distribution, so a change here moves every digest.
+TEST(Rng, StreamOutputsPinnedAcrossStateBuild) {
+  constexpr int kPositions[] = {0, 155, 156, 157, 311, 312, 623, 624, 999};
+  constexpr std::uint64_t kRaw[4][9] = {
+      {0x7105992f33f32d46ull, 0x6177a409f367abc2ull, 0xd481e008e9e4e488ull,
+       0xad066263e7e1ce6aull, 0xa989db65cc9b7a22ull, 0x38159e39d3826e27ull,
+       0xe0b1fe31f44aaa3aull, 0x936f9c54be0306c6ull, 0x4956af2fb33122bfull},
+      {0x5b4234592117b1fbull, 0xc136e8d7eced7e86ull, 0xb0cf86daa0f8d2fdull,
+       0x33da410d50f0cd7aull, 0xbbb812deea594038ull, 0x93162000b72df0b0ull,
+       0x5574639fcf85bc79ull, 0x44d09014cfc2f499ull, 0x74e3c699b41d3245ull},
+      {0xc908f80f47a2d3aeull, 0xfe3aa2989ded51ccull, 0x949ba801229911daull,
+       0x8b7e27e537a5023aull, 0x21ecaac8d8b2bf76ull, 0xaafc1e446ef00a06ull,
+       0x9003060ab193fff9ull, 0x9df5460a8d8095c3ull, 0x0b08fde2a319e06bull},
+      {0x7302d00adf347b6dull, 0xd9f4701fd04eaf71ull, 0x92a0db2790281f97ull,
+       0xd33be8d8db56a952ull, 0x7118f90c7f83f860ull, 0x30b610805251ed44ull,
+       0xe96c5bc82d711fceull, 0xeb12ef8d2760edc7ull, 0x86ea29c769ec1abbull},
+  };
+  constexpr std::uint64_t kUniformBits[4][9] = {
+      {0x3fdc41664bccfccbull, 0x3fd85de9027cd9ebull, 0x3fea903c011d3c9dull,
+       0x3fe5a0cc4c7cfc3aull, 0x3fe5313b6cb9936full, 0x3fcc0acf1ce9c137ull,
+       0x3fec163fc63e8955ull, 0x3fe26df38a97c061ull, 0x3fd255abcbeccc49ull},
+      {0x3fd6d08d164845ecull, 0x3fe826dd1afd9db0ull, 0x3fe619f0db541f1aull,
+       0x3fc9ed2086a87867ull, 0x3fe777025bdd4b28ull, 0x3fe262c40016e5beull,
+       0x3fd55d18e7f3e16full, 0x3fd134240533f0bdull, 0x3fdd38f1a66d074dull},
+      {0x3fe9211f01e8f45aull, 0x3fefc7545313bdaaull, 0x3fe2937500245322ull,
+       0x3fe16fc4fca6f4a0ull, 0x3fc0f655646c5960ull, 0x3fe55f83c88dde01ull,
+       0x3fe20060c1563280ull, 0x3fe3bea8c151b013ull, 0x3fa611fbc54633c1ull},
+      {0x3fdcc0b402b7cd1full, 0x3feb3e8e03fa09d6ull, 0x3fe2541b64f20504ull,
+       0x3fea677d1b1b6ad5ull, 0x3fdc463e431fe0feull, 0x3fc85b08402928f7ull,
+       0x3fed2d8b7905ae24ull, 0x3fed625df1a4ec1eull, 0x3fe0dd4538ed3d83ull},
+  };
+  for (std::uint64_t s = 0; s < 4; ++s) {
+    Rng raw = Rng::stream(1, s);
+    Rng unit = Rng::stream(1, s);
+    int next = 0;
+    for (int draw = 0; draw <= 999; ++draw) {
+      const std::uint64_t r =
+          raw.uniform_int(0, std::numeric_limits<std::uint64_t>::max());
+      const std::uint64_t u = std::bit_cast<std::uint64_t>(unit.uniform());
+      if (draw != kPositions[next]) continue;
+      EXPECT_EQ(r, kRaw[s][next]) << "stream " << s << " draw " << draw;
+      EXPECT_EQ(u, kUniformBits[s][next]) << "stream " << s << " draw "
+                                          << draw;
+      ++next;
+    }
+  }
+}
+
+// A copy or move taken anywhere (inside the array-free window, at its last
+// draw, at the state build, after it) continues the original's stream.
+TEST(Rng, CopyAndMoveContinueIdentically) {
+  for (int taken_at : {0, 100, 155, 156, 400}) {
+    Rng original = Rng::stream(1, 7);
+    for (int i = 0; i < taken_at; ++i) original.uniform_int(0, 1'000'000);
+    Rng copy(original);
+    Rng assigned(3);
+    assigned = original;
+    Rng staged(original);
+    Rng moved(std::move(staged));
+    Rng move_assigned(5);
+    move_assigned = Rng(original);
+    for (int i = 0; i < 700; ++i) {
+      const std::uint64_t want = original.uniform_int(0, 1'000'000);
+      ASSERT_EQ(copy.uniform_int(0, 1'000'000), want) << taken_at;
+      ASSERT_EQ(assigned.uniform_int(0, 1'000'000), want) << taken_at;
+      ASSERT_EQ(moved.uniform_int(0, 1'000'000), want) << taken_at;
+      ASSERT_EQ(move_assigned.uniform_int(0, 1'000'000), want) << taken_at;
+    }
+  }
+}
+
+// A net::Node holds one Rng per tag, so a 10k-tag star pays this per tag.
+TEST(Rng, StateIsSmall) { EXPECT_LE(sizeof(Rng), 128u); }
 
 TEST(Rng, ForkProducesIndependentStream) {
   Rng parent(31);

@@ -16,8 +16,12 @@ Rules
 R1 no-global-rng      Stochastic code must take an explicit
                       braidio::util::Rng (or a seed) so experiments replay
                       bit-for-bit. rand()/srand()/random()/drand48(),
-                      std::random_device, std::default_random_engine, and
-                      raw std::mt19937 outside util/rng are forbidden.
+                      std::random_device, std::default_random_engine, raw
+                      std::mt19937, the std::*_distribution classes and
+                      std::generate_canonical outside util/rng are
+                      forbidden: the distributions' algorithms are
+                      implementation-defined, so every draw through them
+                      ties a seeded result to one standard library.
 R2 no-naked-stdout    Library code (src/) never prints directly; all output
                       goes through util/log (or is returned to the caller).
                       printf/fprintf/puts/std::cout|cerr are forbidden in
@@ -70,6 +74,8 @@ GLOBAL_RNG_PATTERNS = [
     (re.compile(r"\bstd::default_random_engine\b"),
      "std::default_random_engine"),
     (re.compile(r"\bstd::mt19937(?:_64)?\b"), "raw std::mt19937"),
+    (re.compile(r"\bstd::\w+_distribution\b"), "std::*_distribution"),
+    (re.compile(r"\bstd::generate_canonical\b"), "std::generate_canonical"),
 ]
 # util/rng wraps the engine; everything else must go through it.
 RNG_ALLOWED = {Path("src/util/rng.hpp"), Path("src/util/rng.cpp")}
